@@ -29,8 +29,12 @@ fn main() {
         let (cluster, report) = tpcc_run(config, &params, TpccMix::standard(), |wl| {
             wl.set_all_local();
         });
-        let commits = report.total_commits().max(1);
-        let mean_wait_us = cluster.db.stats().commit_wait_total.as_micros() as f64 / commits as f64;
+        // Both totals span the cluster's whole life (load, warm-up and
+        // window), so the mean is over the same committed transactions.
+        let m = &cluster.db.obs().metrics;
+        let commits = m.counter(gdb_txnmgr::metrics::COMMITTED).max(1);
+        let mean_wait_us =
+            m.counter(gdb_txnmgr::metrics::COMMIT_WAIT_TOTAL_US) as f64 / commits as f64;
         rows.push(vec![
             format!("{rtt_us} us"),
             format!("{:.0}", report.tpmc()),

@@ -25,11 +25,13 @@ fn main() {
         let (cluster, report) = tpcc_run(config, &params, TpccMix::read_only(), |wl| {
             wl.multi_shard_read_fraction = 0.5;
         });
+        let metrics = &cluster.db.obs().metrics;
+        let rounds = metrics.counter(gdb_consistency::metrics::RCP_ROUNDS);
         rows.push(vec![
             format!("{hb_ms} ms"),
             format!("{:.0}", report.throughput_per_sec()),
             format!("{:.1} ms", rcp_lag_ms(&cluster)),
-            format!("{}", cluster.db.stats().rcp_rounds),
+            format!("{rounds}"),
             format!("{}", report.reads_on_replica),
         ]);
     }

@@ -30,7 +30,8 @@ fn main() {
         let (cluster, report) = tpcc_run(config, &params, TpccMix::standard(), |wl| {
             wl.set_all_local();
         });
-        let fallbacks = cluster.db.stats().replica_blocked_fallbacks;
+        let metrics = &cluster.db.obs().metrics;
+        let fallbacks = metrics.counter(gdb_router::metrics::REPLICA_BLOCKED_FALLBACKS);
         rows.push(vec![
             format!("{workers}"),
             format!("{:.0}", report.tpmc()),

@@ -9,6 +9,7 @@ use crate::plan::FaultPlan;
 use crate::trace::new_trace;
 use gdb_workloads::tpcc::{consistency, TpccMix, TpccScale, TpccWorkload};
 use gdb_workloads::{run_workload, RunConfig, Workload};
+use globaldb::gdb_consistency::metrics::{COLLECTOR_FAILOVERS, RCP_ROUNDS, RCP_ROUNDS_ABANDONED};
 use globaldb::{Cluster, ClusterConfig, GlobalDb, ReplicationMode, SimDuration, SimTime};
 use std::rc::Rc;
 
@@ -280,6 +281,7 @@ pub fn run_plan_prepped(
     let trace_lines = trace.borrow().lines();
     let state = oracle.state.borrow();
     let metrics = cluster.metrics_snapshot();
+    let count = |name: &str| metrics.counter(name).unwrap_or(0);
     let latency = metrics
         .histogram(gdb_txnmgr::metrics::LATENCY_US)
         .cloned()
@@ -288,13 +290,13 @@ pub fn run_plan_prepped(
         plan_name,
         trace: trace_lines,
         violations: state.violations.clone(),
-        txns_committed: cluster.db.stats().committed,
-        txns_aborted: cluster.db.stats().aborted,
+        txns_committed: count(gdb_txnmgr::metrics::COMMITTED),
+        txns_aborted: count(gdb_txnmgr::metrics::ABORTED),
         probe_writes: state.writes_committed,
         probe_reads: state.reads_checked,
-        rcp_rounds: cluster.db.stats().rcp_rounds,
-        rcp_rounds_abandoned: cluster.db.stats().rcp_rounds_abandoned,
-        collector_failovers: cluster.db.stats().collector_failovers,
+        rcp_rounds: count(RCP_ROUNDS),
+        rcp_rounds_abandoned: count(RCP_ROUNDS_ABANDONED),
+        collector_failovers: count(COLLECTOR_FAILOVERS),
         tpcc_rows_verified,
         duration: cfg.duration,
         latency,

@@ -5,6 +5,7 @@
 
 use gdb_chaos::plan::canned;
 use gdb_chaos::{run_nemesis, run_plan, ChaosConfig, PROBE_LATENCY_US};
+use globaldb::gdb_consistency::metrics::{COLLECTOR_FAILOVERS, RCP_ROUNDS, RCP_ROUNDS_ABANDONED};
 use globaldb::{Cluster, ReplicationMode, SimDuration};
 
 fn assert_clean(report: &gdb_chaos::ChaosReport) {
@@ -285,8 +286,8 @@ fn collector_crash_mid_rcp_round_abandons_then_fails_over() {
     cluster.run_until(now + SimDuration::from_millis(500));
 
     let db = &mut cluster.db;
-    let rounds_before = db.stats().rcp_rounds;
-    let abandoned_before = db.stats().rcp_rounds_abandoned;
+    let rounds_before = db.obs().metrics.counter(RCP_ROUNDS);
+    let abandoned_before = db.obs().metrics.counter(RCP_ROUNDS_ABANDONED);
     let rcps_before: Vec<_> = db.cns().iter().map(|c| c.rcp).collect();
 
     // Phase 1 gathers on the collector, which then dies mid-round.
@@ -295,9 +296,12 @@ fn collector_crash_mid_rcp_round_abandons_then_fails_over() {
     db.crash_cn(collector);
     db.rcp_finish(0, collector, now);
 
-    assert_eq!(db.stats().rcp_rounds_abandoned, abandoned_before + 1);
     assert_eq!(
-        db.stats().rcp_rounds,
+        db.obs().metrics.counter(RCP_ROUNDS_ABANDONED),
+        abandoned_before + 1
+    );
+    assert_eq!(
+        db.obs().metrics.counter(RCP_ROUNDS),
         rounds_before,
         "abandoned round counted as complete"
     );
@@ -309,12 +313,12 @@ fn collector_crash_mid_rcp_round_abandons_then_fails_over() {
     }
 
     // The next round elects a fresh collector and completes.
-    let failovers_before = db.stats().collector_failovers;
+    let failovers_before = db.obs().metrics.counter(COLLECTOR_FAILOVERS);
     let new_collector = db.rcp_collect(0, now).expect("a standby CN takes over");
     assert_ne!(new_collector, collector, "dead collector re-elected");
     db.rcp_finish(0, new_collector, now);
-    assert!(db.stats().collector_failovers > failovers_before);
-    assert_eq!(db.stats().rcp_rounds, rounds_before + 1);
+    assert!(db.obs().metrics.counter(COLLECTOR_FAILOVERS) > failovers_before);
+    assert_eq!(db.obs().metrics.counter(RCP_ROUNDS), rounds_before + 1);
     for (i, cn) in db.cns().iter().enumerate() {
         assert!(cn.rcp >= rcps_before[i]);
     }

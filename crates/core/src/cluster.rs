@@ -2,7 +2,7 @@
 //!
 //! [`GlobalDb`] owns the subsystems — topology + message plane, GTM,
 //! per-CN transaction managers, shards with their replication state,
-//! catalog, RCP calculators, stats, observability — and the sibling
+//! catalog, RCP calculators, observability — and the sibling
 //! modules drive them through narrow `pub(crate)` seams:
 //!
 //! * [`crate::txn`] — the transaction pipeline (begin → execute →
@@ -24,9 +24,8 @@ use crate::rcp_driver::GtmRate;
 use crate::repl_driver::{Replica, Shard};
 use crate::ror::RorService;
 use crate::shardlog::ShardLog;
-use crate::stats::{ClusterStats, TxnOutcome};
 use crate::transition::TransitionTrace;
-use crate::txn::TxnHandle;
+use crate::txn::{TxnHandle, TxnOutcome};
 use gdb_consistency::{CollectorElection, DdlTracker, RcpCalculator};
 use gdb_model::{GdbResult, TableId, TableSchema, Timestamp, TxnId};
 use gdb_obs::{MetricsReport, Obs};
@@ -73,11 +72,14 @@ pub struct GlobalDb {
     /// trading update latency for maximal freshness on selected tables).
     pub(crate) table_replication:
         std::collections::HashMap<TableId, gdb_replication::ReplicationMode>,
-    pub(crate) stats: ClusterStats,
     /// Observability: trace spans (off by default) + metrics registry.
     pub(crate) obs: Obs,
-    /// Pre-registered metric handles for the hot record sites.
+    /// Pre-registered metric handles: every counted event goes through
+    /// one of these, where it happens.
     pub(crate) hot: crate::hot::HotMetrics,
+    /// Sub-microsecond remainder of the commit-wait total, so
+    /// `txnmgr.commit_wait_total_us` truncates the exact nanosecond sum.
+    pub(crate) commit_wait_carry_ns: u64,
     /// Flat O(1) routing table: shard → (primary, owner epoch) plus the
     /// per-CN nearest-shard index. Rebuilt *only* when placement changes
     /// (batched cutover, replica promotion) — every route between
@@ -192,10 +194,6 @@ impl GlobalDb {
 
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
-    }
-
-    pub fn stats(&self) -> &ClusterStats {
-        &self.stats
     }
 
     pub fn obs(&self) -> &Obs {
@@ -371,30 +369,29 @@ impl GlobalDb {
         match f(&mut handle) {
             Ok(value) => match handle.commit() {
                 Ok(outcome) => {
-                    self.stats.record_txn(&outcome);
-                    self.obs
-                        .metrics
-                        .record(self.hot.txn.latency_us, outcome.latency);
+                    let m = &mut self.obs.metrics;
+                    m.bump(self.hot.txn.committed);
+                    m.record(self.hot.txn.latency_us, outcome.latency);
                     Ok((value, outcome))
                 }
                 Err(e) => {
                     // Commit-time failure: the handle already rolled back.
-                    self.stats.aborted += 1;
+                    self.obs.metrics.bump(self.hot.txn.aborted);
                     Err(e)
                 }
             },
             Err(e) => {
-                let outcome = handle.abort();
-                self.stats.record_txn(&outcome);
+                handle.abort();
+                self.obs.metrics.bump(self.hot.txn.aborted);
                 Err(e)
             }
         }
     }
 
-    /// Mirror externally maintained totals (cluster stats, topology
-    /// traffic, message-plane RPC accounting) into the registry, then
-    /// freeze it. The report is a pure function of the run: identical
-    /// seeds produce identical reports.
+    /// Mirror externally maintained totals (routing epoch, shard load,
+    /// arena footprint, topology traffic, message-plane RPC accounting)
+    /// into the registry, then freeze it. The report is a pure function
+    /// of the run: identical seeds produce identical reports.
     pub fn metrics_snapshot(&mut self) -> MetricsReport {
         self.sync_derived_metrics();
         self.obs.metrics.snapshot()
@@ -427,58 +424,6 @@ impl GlobalDb {
 
     fn sync_derived_metrics(&mut self) {
         let m = &mut self.obs.metrics;
-        m.set_counter(gdb_txnmgr::metrics::COMMITTED, self.stats.committed);
-        m.set_counter(gdb_txnmgr::metrics::ABORTED, self.stats.aborted);
-        m.set_counter(gdb_txnmgr::metrics::LOCK_WAITS, self.stats.lock_waits);
-        m.set_counter(
-            gdb_txnmgr::metrics::COMMIT_WAIT_TOTAL_US,
-            self.stats.commit_wait_total.as_micros(),
-        );
-        m.set_counter(
-            gdb_router::metrics::READS_ON_REPLICA,
-            self.stats.reads_on_replica,
-        );
-        m.set_counter(
-            gdb_router::metrics::READS_ON_PRIMARY,
-            self.stats.reads_on_primary,
-        );
-        m.set_counter(
-            gdb_router::metrics::REPLICA_BLOCKED_FALLBACKS,
-            self.stats.replica_blocked_fallbacks,
-        );
-        m.set_counter(gdb_consistency::metrics::RCP_ROUNDS, self.stats.rcp_rounds);
-        m.set_counter(
-            gdb_consistency::metrics::RCP_ROUNDS_ABANDONED,
-            self.stats.rcp_rounds_abandoned,
-        );
-        m.set_counter(
-            gdb_consistency::metrics::COLLECTOR_FAILOVERS,
-            self.stats.collector_failovers,
-        );
-        m.set_counter(
-            gdb_consistency::metrics::HEARTBEATS_SENT,
-            self.stats.heartbeats_sent,
-        );
-        m.set_counter(
-            gdb_consistency::metrics::VERSIONS_VACUUMED,
-            self.stats.versions_vacuumed,
-        );
-        m.set_counter(
-            gdb_router::metrics::STALE_ROUTE_REJECTS,
-            self.stats.stale_route_rejects,
-        );
-        m.set_counter(
-            crate::migrate::metrics::MIGRATIONS_STARTED,
-            self.stats.migrations_started,
-        );
-        m.set_counter(
-            crate::migrate::metrics::MIGRATIONS_COMPLETED,
-            self.stats.migrations_completed,
-        );
-        m.set_counter(
-            crate::migrate::metrics::MIGRATIONS_ABORTED,
-            self.stats.migrations_aborted,
-        );
         m.set_counter(crate::migrate::metrics::ROUTING_EPOCH, self.routing_epoch);
         for (s, load) in self.shard_load.iter().enumerate() {
             m.set_counter(
@@ -614,9 +559,9 @@ impl Cluster {
             collectors,
             gtm_rate: GtmRate::default(),
             table_replication: std::collections::HashMap::new(),
-            stats: ClusterStats::default(),
             obs,
             hot,
+            commit_wait_carry_ns: 0,
             routes: gdb_router::RouteTable::default(),
             last_skyline_pick: vec![None; cn_count * shard_count],
             clock_sync_blocked: vec![false; cn_count],

@@ -3,7 +3,7 @@
 //! changes outside the per-transaction path in [`crate::txn`].
 
 use crate::cluster::Cluster;
-use crate::stats::TxnOutcome;
+use crate::txn::TxnOutcome;
 use gdb_model::{GdbError, GdbResult, TableId, TableSchema, Timestamp};
 use gdb_simnet::{SimDuration, SimTime};
 use gdb_sqlengine::plan::BoundDdl;

@@ -42,7 +42,6 @@ pub mod rcp_driver;
 pub mod repl_driver;
 pub mod ror;
 pub mod shardlog;
-pub mod stats;
 pub mod transition;
 pub mod txn;
 
@@ -52,9 +51,11 @@ pub use event::{CoreEvent, CoreSim};
 pub use migrate::{Migration, MigrationKind, MigrationPhase, MigrationSpec, ShardLoad};
 pub use net::{Envelope, MessagePlane, RpcKind, SimTransport, Transport, ALL_RPC_KINDS};
 pub use repl_driver::{Replica, Shard};
-pub use stats::{ClusterStats, TxnOutcome};
+pub use txn::TxnOutcome;
 
 // Re-export the pieces callers commonly need.
+// The subsystems whose `metrics` names the cluster counts under, for
+// readers of `GlobalDb::obs` that do not depend on them directly.
 pub use gdb_compress::Codec;
 pub use gdb_model::{Datum, GdbError, GdbResult, Row, Timestamp};
 pub use gdb_obs::{
@@ -65,3 +66,4 @@ pub use gdb_replication::ReplicationMode;
 pub use gdb_simnet::{SimDuration, SimTime};
 pub use gdb_sqlengine::{ExecOutput, Prepared};
 pub use gdb_txnmgr::{TmMode, TransitionDirection};
+pub use {gdb_consistency, gdb_router, gdb_txnmgr};

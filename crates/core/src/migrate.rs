@@ -69,6 +69,27 @@ pub mod metrics {
     pub const SHARD_OPS_PREFIX: &str = "rebalance.shard_ops";
     /// Per-shard payload-byte counter prefix: `rebalance.shard_bytes.<shard>`.
     pub const SHARD_BYTES_PREFIX: &str = "rebalance.shard_bytes";
+
+    use gdb_obs::{CounterId, MetricsRegistry};
+
+    /// Pre-registered migration outcome counters, listed in every
+    /// snapshot at 0 until their first event.
+    #[derive(Debug, Clone, Copy)]
+    pub struct MigrateHandles {
+        pub started: CounterId,
+        pub completed: CounterId,
+        pub aborted: CounterId,
+    }
+
+    impl MigrateHandles {
+        pub fn register(m: &mut MetricsRegistry) -> Self {
+            MigrateHandles {
+                started: m.register_listed_counter(MIGRATIONS_STARTED),
+                completed: m.register_listed_counter(MIGRATIONS_COMPLETED),
+                aborted: m.register_listed_counter(MIGRATIONS_ABORTED),
+            }
+        }
+    }
 }
 
 /// Nominal on-wire bytes per stored key for the snapshot-copy estimate.
@@ -289,8 +310,8 @@ fn start_member(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, spec: Migration
     else {
         // Validated reachable above; a racing fault still loses the
         // member without ever admitting it to the plan.
-        db.stats.migrations_started += 1;
-        db.stats.migrations_aborted += 1;
+        db.obs.metrics.bump(db.hot.migrate.started);
+        db.obs.metrics.bump(db.hot.migrate.aborted);
         db.last_migration_aborted = Some((shard_idx, "target unreachable".to_string()));
         return;
     };
@@ -328,7 +349,7 @@ fn start_member(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, spec: Migration
         channel,
         stream_free: arrive,
     });
-    db.stats.migrations_started += 1;
+    db.obs.metrics.bump(db.hot.migrate.started);
     sim.schedule_at(arrive, move |w: &mut GlobalDb, sim| {
         migration_tick(w, sim, seq);
     });
@@ -552,7 +573,7 @@ fn cutover_plan(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, now: SimTime) {
             }
         }
 
-        db.stats.migrations_completed += 1;
+        db.obs.metrics.bump(db.hot.migrate.completed);
         db.last_migration_completed = Some(m.shard);
         record_migration_spans(db, &m, now);
         completed_any = true;
@@ -657,10 +678,10 @@ fn cutover_plan(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, now: SimTime) {
     db.maybe_retire_drained();
 }
 
-/// Record one member's abort (stats + spans). Ownership never moved, so
+/// Record one member's abort (counter + spans). Ownership never moved, so
 /// no shard/routing state changes.
 fn record_abort(db: &mut GlobalDb, m: &Migration, now: SimTime, reason: &str) {
-    db.stats.migrations_aborted += 1;
+    db.obs.metrics.bump(db.hot.migrate.aborted);
     db.last_migration_aborted = Some((m.shard, reason.to_string()));
     record_migration_spans(db, m, now);
 }

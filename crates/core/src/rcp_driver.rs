@@ -74,7 +74,7 @@ impl GlobalDb {
             .map(|&cn| !self.topo.is_node_down(self.cns[cn].node))
             .collect();
         if self.collectors[region_idx].refresh(&alive).is_some() {
-            self.stats.collector_failovers += 1;
+            self.obs.metrics.bump(self.hot.rcp.collector_failovers);
         }
         let collector_slot = self.collectors[region_idx].collector()?;
         // Report every replica located in this region.
@@ -98,7 +98,7 @@ impl GlobalDb {
     pub fn rcp_finish(&mut self, region_idx: usize, collector_cn: usize, now: SimTime) {
         let region = self.regions[region_idx];
         if self.topo.is_node_down(self.cns[collector_cn].node) {
-            self.stats.rcp_rounds_abandoned += 1;
+            self.obs.metrics.bump(self.hot.rcp.rounds_abandoned);
             return;
         }
         let rcp = self.rcp[region_idx].compute();
@@ -110,7 +110,7 @@ impl GlobalDb {
                     .account(RpcKind::RcpDistribute, region, region, 16);
             }
         }
-        self.stats.rcp_rounds += 1;
+        self.obs.metrics.bump(self.hot.rcp.rounds);
         // Track the GTM issue rate for GTM-mode staleness estimation.
         let counter = self.gtm.current().0;
         if region_idx == 0 {
@@ -189,7 +189,7 @@ impl GlobalDb {
                 .log
                 .append(now, txn, RedoPayload::Heartbeat { commit_ts: ts });
         }
-        self.stats.heartbeats_sent += 1;
+        self.obs.metrics.bump(self.hot.rcp.heartbeats_sent);
     }
 
     /// Rebuild the per-region RCP calculators after replica membership
@@ -223,12 +223,12 @@ impl GlobalDb {
             for s in &mut self.shards {
                 if s.storage.resident_bytes() > limit {
                     s.storage.compact();
-                    self.stats.pressure_compactions += 1;
+                    self.obs.metrics.bump(self.hot.pressure_compactions);
                 }
                 for replica in &mut s.replicas {
                     if replica.applier.storage.resident_bytes() > limit {
                         replica.applier.storage.compact();
-                        self.stats.pressure_compactions += 1;
+                        self.obs.metrics.bump(self.hot.pressure_compactions);
                     }
                 }
             }
@@ -249,7 +249,8 @@ impl GlobalDb {
                     floor = floor.min(m.applier.resume_from());
                 }
             }
-            self.stats.redo_records_trimmed += s.log.trim_shipped(floor) as u64;
+            let trimmed = s.log.trim_shipped(floor) as u64;
+            self.obs.metrics.add(self.hot.ship.records_trimmed, trimmed);
         }
 
         let horizon = self
@@ -334,7 +335,9 @@ pub(crate) fn heartbeat_event(w: &mut GlobalDb, sim: &mut CoreSim) {
 
 pub(crate) fn vacuum_event(w: &mut GlobalDb, sim: &mut CoreSim) {
     let removed = w.vacuum();
-    w.stats.versions_vacuumed += removed as u64;
+    w.obs
+        .metrics
+        .add(w.hot.rcp.versions_vacuumed, removed as u64);
     let Some(interval) = w.config.vacuum_interval else {
         return;
     };

@@ -124,7 +124,9 @@ impl GlobalDb {
                 // Nothing on the skyline satisfies the bound (the primary
                 // is normally a zero-staleness candidate, so this means it
                 // is down too): fall back to the primary path and count it.
-                self.stats.ror_rejected_freshness += 1;
+                self.obs
+                    .metrics
+                    .bump(self.hot.router.ror_rejected_freshness);
                 break 'pick ReadTarget::Primary;
             };
             // Map the picked node id back to its target.

@@ -15,9 +15,8 @@
 //! per-shard 2PC branches are kept so observability can record them as
 //! child spans of the prepare / replication-ack phases.
 
-use super::{TxnHandle, OP_MSG_BYTES};
+use super::{TxnHandle, TxnOutcome, OP_MSG_BYTES};
 use crate::net::RpcKind;
-use crate::stats::TxnOutcome;
 use gdb_model::{Datum, GdbError, GdbResult, Timestamp};
 use gdb_obs::SpanKind;
 use gdb_replication::{quorum_wait, ReplicationMode};
@@ -268,7 +267,12 @@ impl<'a> TxnHandle<'a> {
                 (ts, wait)
             }
         };
-        self.db.stats.commit_wait_total += clock_wait;
+        // The total counts whole microseconds of the exact nanosecond
+        // sum: the sub-microsecond remainder carries to the next commit.
+        let wait_ns = self.db.commit_wait_carry_ns + clock_wait.as_nanos();
+        self.db.commit_wait_carry_ns = wait_ns % 1_000;
+        let total_us = self.db.hot.txn.commit_wait_total_us;
+        self.db.obs.metrics.add(total_us, wait_ns / 1_000);
         Ok(CommitPoint {
             commit_ts,
             clock_wait,

@@ -17,7 +17,6 @@ mod ops;
 use crate::cluster::GlobalDb;
 use crate::config::RoutingPolicy;
 use crate::net::RpcKind;
-use crate::stats::TxnOutcome;
 use gdb_model::{Datum, GdbError, GdbResult, Row, RowKey, TableId, Timestamp, TxnId};
 use gdb_simnet::{SimDuration, SimTime};
 use gdb_sqlengine::{execute, ExecOutput, Prepared};
@@ -38,6 +37,26 @@ struct WriteOp {
     key: RowKey,
     /// `None` = delete.
     row: Option<Row>,
+}
+
+/// What happened to one transaction.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TxnOutcome {
+    /// Commit timestamp (None for pure reads in ROR mode, which carry the
+    /// RCP snapshot instead).
+    pub commit_ts: Option<Timestamp>,
+    /// The snapshot the transaction read at.
+    pub snapshot: Timestamp,
+    /// Virtual time the client observed completion.
+    pub completed_at: SimTime,
+    /// End-to-end latency as the client saw it.
+    pub latency: SimDuration,
+    /// Which shards the transaction wrote.
+    pub shards_written: Vec<usize>,
+    /// True if any read was served by a replica.
+    pub used_replica: bool,
+    /// True if the transaction rolled back instead of committing.
+    pub aborted: bool,
 }
 
 /// An open transaction bound to one computing node.
@@ -182,7 +201,10 @@ impl<'a> TxnHandle<'a> {
                 .ddl
                 .ror_allowed(self.snapshot, &prepared.bound.tables())
             {
-                self.db.stats.ror_rejected_ddl += 1;
+                self.db
+                    .obs
+                    .metrics
+                    .bump(self.db.hot.router.ror_rejected_ddl);
                 self.fallback_to_primary()?;
             }
         }
@@ -238,7 +260,7 @@ impl<'a> TxnHandle<'a> {
 
     /// Abort the transaction: release locks, discard buffered writes, and
     /// emit ABORT records so replicas unlock the tuples. Returns the
-    /// outcome so callers can record the abort in cluster statistics.
+    /// rolled-back outcome (snapshot, latency, replica use).
     pub fn abort(mut self) -> TxnOutcome {
         self.abort_inner();
         TxnOutcome {

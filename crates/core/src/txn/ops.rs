@@ -38,7 +38,7 @@ impl<'a> TxnHandle<'a> {
         let owner = db.routes.owner_epoch(shard);
         debug_assert_eq!(owner, db.shards[shard].owner_epoch);
         if self.route_epoch < owner {
-            db.stats.stale_route_rejects += 1;
+            db.obs.metrics.bump(db.hot.router.stale_route_rejects);
             db.cns[self.cn].route_epoch = db.routing_epoch;
             return Err(GdbError::StaleRoute(format!(
                 "shard {shard}: route epoch {} < owner epoch {owner}",
@@ -174,7 +174,10 @@ impl<'a> TxnHandle<'a> {
     ) -> GdbResult<Option<Row>> {
         let primary = self.db.shards[shard].primary;
         self.charge_rtt_to(RpcKind::DnRead, primary, OP_MSG_BYTES)?;
-        self.db.stats.reads_on_primary += 1;
+        self.db
+            .obs
+            .metrics
+            .bump(self.db.hot.router.reads_on_primary);
         let snapshot = self.snapshot;
         let vis = self.db.shards[shard].storage.read(table, key, snapshot)?;
         Ok(match vis {
@@ -217,11 +220,17 @@ impl<'a> TxnHandle<'a> {
                 match res {
                     ReplicaReadResult::Row(r) => {
                         self.used_replica = true;
-                        self.db.stats.reads_on_replica += 1;
+                        self.db
+                            .obs
+                            .metrics
+                            .bump(self.db.hot.router.reads_on_replica);
                         Ok(r.map(|(row, _)| row))
                     }
                     ReplicaReadResult::Blocked { .. } => {
-                        self.db.stats.replica_blocked_fallbacks += 1;
+                        self.db
+                            .obs
+                            .metrics
+                            .bump(self.db.hot.router.replica_blocked_fallbacks);
                         self.primary_point_read(shard, table, key)
                     }
                 }
@@ -365,19 +374,28 @@ impl<'a> DataAccess for TxnHandle<'a> {
                 match res {
                     ReplicaReadResult::Row(r) => {
                         self.used_replica = true;
-                        self.db.stats.reads_on_replica += 1;
+                        self.db
+                            .obs
+                            .metrics
+                            .bump(self.db.hot.router.reads_on_replica);
                         out.push(r.map(|(row, _)| row));
                         continue;
                     }
                     ReplicaReadResult::Blocked { .. } => {
                         // Blocked tuple: pay an extra primary round trip.
-                        self.db.stats.replica_blocked_fallbacks += 1;
+                        self.db
+                            .obs
+                            .metrics
+                            .bump(self.db.hot.router.replica_blocked_fallbacks);
                         let primary = self.db.shards[s].primary;
                         self.charge_rtt_to(RpcKind::DnRead, primary, OP_MSG_BYTES)?;
                     }
                 }
             }
-            self.db.stats.reads_on_primary += 1;
+            self.db
+                .obs
+                .metrics
+                .bump(self.db.hot.router.reads_on_primary);
             let vis = self.db.shards[s].storage.read(table, key, snapshot)?;
             out.push(match vis {
                 Some(v) => {
@@ -419,14 +437,20 @@ impl<'a> DataAccess for TxnHandle<'a> {
                             .applier
                             .is_range_blocked(table, lo, hi);
                         if blocked {
-                            self.db.stats.replica_blocked_fallbacks += 1;
+                            self.db
+                                .obs
+                                .metrics
+                                .bump(self.db.hot.router.replica_blocked_fallbacks);
                             primary_shards.push(s);
                             continue;
                         }
                         let node = self.db.shards[s].replicas[ri].node;
                         self.charge_rtt_to(RpcKind::DnRead, node, OP_MSG_BYTES * 4)?;
                         self.used_replica = true;
-                        self.db.stats.reads_on_replica += 1;
+                        self.db
+                            .obs
+                            .metrics
+                            .bump(self.db.hot.router.reads_on_replica);
                         let rows = self.db.shards[s].replicas[ri]
                             .applier
                             .storage
@@ -441,7 +465,10 @@ impl<'a> DataAccess for TxnHandle<'a> {
         }
         if !primary_shards.is_empty() {
             self.charge_scatter(RpcKind::DnRead, &primary_shards, OP_MSG_BYTES * 4)?;
-            self.db.stats.reads_on_primary += 1;
+            self.db
+                .obs
+                .metrics
+                .bump(self.db.hot.router.reads_on_primary);
             let mut max_wait = self.now;
             for &s in &primary_shards {
                 let rows = self.db.shards[s].storage.range(table, lo, hi, snapshot)?;
@@ -482,14 +509,20 @@ impl<'a> DataAccess for TxnHandle<'a> {
                             .applier
                             .is_range_blocked(def.table, None, None);
                         if blocked {
-                            self.db.stats.replica_blocked_fallbacks += 1;
+                            self.db
+                                .obs
+                                .metrics
+                                .bump(self.db.hot.router.replica_blocked_fallbacks);
                             primary_shards.push(s);
                             continue;
                         }
                         let node = self.db.shards[s].replicas[ri].node;
                         self.charge_rtt_to(RpcKind::DnRead, node, OP_MSG_BYTES * 2)?;
                         self.used_replica = true;
-                        self.db.stats.reads_on_replica += 1;
+                        self.db
+                            .obs
+                            .metrics
+                            .bump(self.db.hot.router.reads_on_replica);
                         let rows = self.db.shards[s].replicas[ri]
                             .applier
                             .storage
@@ -504,7 +537,10 @@ impl<'a> DataAccess for TxnHandle<'a> {
         }
         if !primary_shards.is_empty() {
             self.charge_scatter(RpcKind::DnRead, &primary_shards, OP_MSG_BYTES * 2)?;
-            self.db.stats.reads_on_primary += 1;
+            self.db
+                .obs
+                .metrics
+                .bump(self.db.hot.router.reads_on_primary);
             for &s in &primary_shards {
                 let rows = self.db.shards[s]
                     .storage
@@ -692,7 +728,7 @@ impl<'a> TxnHandle<'a> {
             match outcome {
                 LockOutcome::Acquired => break,
                 LockOutcome::WaitUntil(t) => {
-                    self.db.stats.lock_waits += 1;
+                    self.db.obs.metrics.bump(self.db.hot.txn.lock_waits);
                     self.now = t;
                 }
             }

@@ -1,6 +1,7 @@
 //! Background-service tests: collector-CN failover for RCP distribution,
 //! and the periodic vacuum pruning MVCC versions below the RCP horizon.
 
+use gdb_consistency::metrics::VERSIONS_VACUUMED;
 use globaldb::{Cluster, ClusterConfig, Datum, SimDuration, SimTime};
 
 fn t(ms: u64) -> SimTime {
@@ -57,9 +58,9 @@ fn periodic_vacuum_prunes_dead_versions() {
     // After the vacuum interval (and RCP catching up), old versions go.
     c.run_until(t(3000));
     assert!(
-        c.db.stats().versions_vacuumed > 20,
+        c.db.obs().metrics.counter(VERSIONS_VACUUMED) > 20,
         "vacuum must prune the dead chain: {}",
-        c.db.stats().versions_vacuumed
+        c.db.obs().metrics.counter(VERSIONS_VACUUMED)
     );
     // The newest value is intact.
     let (out, _) = c
@@ -87,5 +88,5 @@ fn vacuum_disabled_keeps_versions() {
         .unwrap();
     }
     c.run_until(t(3000));
-    assert_eq!(c.db.stats().versions_vacuumed, 0);
+    assert_eq!(c.db.obs().metrics.counter(VERSIONS_VACUUMED), 0);
 }

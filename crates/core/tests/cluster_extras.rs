@@ -1,6 +1,13 @@
 //! Additional cluster behaviours: statement atomicity, GTM-mode ROR,
-//! automatic clock-failure fallback, and freshness-bound accounting.
+//! automatic clock-failure fallback, freshness-bound accounting, and the
+//! registry counters the cluster keeps at the source.
 
+use gdb_consistency::metrics as consistency;
+use gdb_replication::metrics::REDO_RECORDS_TRIMMED;
+use gdb_router::metrics as router;
+use gdb_storage::metrics::PRESSURE_COMPACTIONS;
+use gdb_txnmgr::metrics as txnmgr;
+use globaldb::migrate::metrics as migrate;
 use globaldb::{
     Cluster, ClusterConfig, Datum, GdbError, SimDuration, SimTime, TmMode, TransitionDirection,
 };
@@ -136,7 +143,118 @@ fn freshness_bound_with_dead_primary_counts_rejections() {
         })
         .unwrap();
     assert!(!o.used_replica, "1ns bound forces primary reads");
-    assert_eq!(c.db.stats().ror_rejected_freshness, 0);
+    let rejected = c.db.obs().metrics.counter(router::ROR_REJECTED_FRESHNESS);
+    assert_eq!(rejected, 0);
+}
+
+/// (committed, aborted, latency samples) as the registry has them.
+fn txn_counts(c: &Cluster) -> (u64, u64, usize) {
+    let m = &c.db.obs().metrics;
+    (
+        m.counter(txnmgr::COMMITTED),
+        m.counter(txnmgr::ABORTED),
+        m.histogram(txnmgr::LATENCY_US).map_or(0, |h| h.len()),
+    )
+}
+
+/// Both abort paths — the transaction body fails, or its commit fails —
+/// count one abort, no commit, and no client-visible latency sample.
+#[test]
+fn aborts_count_as_aborts_not_commits() {
+    let mut c = kv_cluster(ClusterConfig::globaldb_one_region());
+    let upd = c.prepare("UPDATE kv SET v = ? WHERE k = ?").unwrap();
+    let write = |k: i64| [Datum::Int(k), Datum::Int(k)];
+    c.run_transaction(0, t(100), false, true, |txn| {
+        txn.execute(&upd, &write(1)).map(|_| ())
+    })
+    .unwrap();
+    assert_eq!(txn_counts(&c), (1, 0, 1));
+
+    // The body errs after a write: the handle rolls back.
+    let err = c
+        .run_transaction(0, t(200), false, true, |txn| {
+            txn.execute(&upd, &write(2))?;
+            Err::<(), _>(GdbError::TxnAborted("client rollback".into()))
+        })
+        .unwrap_err();
+    assert!(matches!(err, GdbError::TxnAborted(_)), "{err}");
+    assert_eq!(txn_counts(&c), (1, 1, 1));
+
+    // The commit fails: CN 0 still plans in GTM mode while the GTM runs
+    // GClock mode, so its commit is a straggler the GTM refuses.
+    c.db.cns_mut()[0].tm.mode = TmMode::Gtm;
+    let err = c
+        .run_transaction(0, t(300), false, true, |txn| {
+            txn.execute(&upd, &write(3)).map(|_| ())
+        })
+        .unwrap_err();
+    assert!(matches!(err, GdbError::TxnAborted(_)), "{err}");
+    assert_eq!(txn_counts(&c), (1, 2, 1));
+}
+
+/// The cluster's event counters are listed from the first snapshot on,
+/// at 0 before any event.
+#[test]
+fn first_snapshot_lists_event_counters_at_zero() {
+    let mut c = Cluster::new(ClusterConfig::globaldb_one_region());
+    let snap = c.metrics_snapshot();
+    for name in [
+        txnmgr::COMMITTED,
+        txnmgr::ABORTED,
+        txnmgr::LOCK_WAITS,
+        txnmgr::COMMIT_WAIT_TOTAL_US,
+        router::READS_ON_REPLICA,
+        router::READS_ON_PRIMARY,
+        router::REPLICA_BLOCKED_FALLBACKS,
+        router::STALE_ROUTE_REJECTS,
+        consistency::RCP_ROUNDS,
+        consistency::RCP_ROUNDS_ABANDONED,
+        consistency::COLLECTOR_FAILOVERS,
+        consistency::HEARTBEATS_SENT,
+        consistency::VERSIONS_VACUUMED,
+        migrate::MIGRATIONS_STARTED,
+        migrate::MIGRATIONS_COMPLETED,
+        migrate::MIGRATIONS_ABORTED,
+    ] {
+        assert_eq!(snap.counter(name), Some(0), "{name}");
+    }
+}
+
+/// Arena-pressure compactions and shipping-buffer trims are counted at
+/// the vacuum tick, under names outside the `replication.ship` prefix
+/// the operator console dumps.
+#[test]
+fn vacuum_counts_pressure_compactions_and_trimmed_redo() {
+    assert_eq!(REDO_RECORDS_TRIMMED, "replication.redo_records_trimmed");
+    assert_eq!(
+        router::ROR_REJECTED_FRESHNESS,
+        "router.ror_rejected_freshness"
+    );
+    assert_eq!(router::ROR_REJECTED_DDL, "router.ror_rejected_ddl");
+    assert!(!REDO_RECORDS_TRIMMED.starts_with("replication.ship"));
+
+    let mut config = ClusterConfig::globaldb_one_region();
+    config.vacuum_interval = Some(SimDuration::from_millis(200));
+    config.arena_soft_limit_bytes = Some(1);
+    let mut c = kv_cluster(config);
+    for i in 0..20u64 {
+        c.execute_sql(
+            0,
+            t(10 + i * 5),
+            "UPDATE kv SET v = ? WHERE k = ?",
+            &[Datum::Int(i as i64), Datum::Int((i % 5) as i64)],
+        )
+        .unwrap();
+    }
+    c.run_until(t(1000));
+    let snap = c.metrics_snapshot();
+    let count = |name| snap.counter(name).unwrap_or(0);
+    assert!(
+        count(PRESSURE_COMPACTIONS) > 0 && count(REDO_RECORDS_TRIMMED) > 0,
+        "compactions {}, trimmed {}",
+        count(PRESSURE_COMPACTIONS),
+        count(REDO_RECORDS_TRIMMED)
+    );
 }
 
 /// Replica freshness is a first-class metrics surface: the snapshot

@@ -2,6 +2,9 @@
 //! sharded MVCC storage, asynchronous replication with RCP-consistent
 //! replica reads, 2PC, online mode transitions, and failure handling.
 
+use gdb_consistency::metrics::HEARTBEATS_SENT;
+use gdb_router::metrics::{READS_ON_REPLICA, ROR_REJECTED_DDL};
+use gdb_txnmgr::metrics::LOCK_WAITS;
 use globaldb::{
     Cluster, ClusterConfig, Datum, GdbError, Geometry, ReplicationMode, SimDuration, SimTime,
     TmMode, TransitionDirection,
@@ -168,7 +171,7 @@ fn ror_reads_hit_replicas_with_rcp_snapshot() {
         })
         .unwrap();
     assert!(outcome.used_replica, "read must be served by a replica");
-    assert!(c.db.stats().reads_on_replica > 0);
+    assert!(c.db.obs().metrics.counter(READS_ON_REPLICA) > 0);
 }
 
 #[test]
@@ -266,7 +269,7 @@ fn lock_conflicts_serialize_hot_row_updates() {
         })
         .unwrap();
     assert!(
-        c.db.stats().lock_waits > 0,
+        c.db.obs().metrics.counter(LOCK_WAITS) > 0,
         "second txn must wait for the lock"
     );
     assert!(o2.completed_at > o1.completed_at);
@@ -471,7 +474,7 @@ fn heartbeats_advance_rcp_without_writes() {
         rcp2 > rcp1,
         "idle cluster RCP must advance via heartbeats: {rcp1:?} vs {rcp2:?}"
     );
-    assert!(c.db.stats().heartbeats_sent > 10);
+    assert!(c.db.obs().metrics.counter(HEARTBEATS_SENT) > 10);
 }
 
 #[test]
@@ -508,7 +511,7 @@ fn ddl_gates_ror_until_replicas_catch_up() {
     c.run_until(t(310));
     c.ddl("CREATE INDEX acc_by_region ON accounts (region)")
         .unwrap();
-    let before = c.db.stats().ror_rejected_ddl;
+    let before = c.db.obs().metrics.counter(ROR_REJECTED_DDL);
     let sel = c
         .prepare("SELECT balance FROM accounts WHERE id = ?")
         .unwrap();
@@ -519,7 +522,7 @@ fn ddl_gates_ror_until_replicas_catch_up() {
             txn.execute(&sel, &[Datum::Int(1)]).map(|_| ())
         })
         .unwrap();
-    assert!(c.db.stats().ror_rejected_ddl > before);
+    assert!(c.db.obs().metrics.counter(ROR_REJECTED_DDL) > before);
     assert!(!o.used_replica);
     // Much later the DDL has replayed everywhere; ROR works again. Pick an
     // id whose shard primary is NOT co-hosted with CN 1 (otherwise the

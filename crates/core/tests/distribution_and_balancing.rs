@@ -3,6 +3,8 @@
 //! out a replica node for a different one if its response time goes up"),
 //! and routing-epoch semantics across an online shard migration.
 
+use gdb_router::metrics::STALE_ROUTE_REJECTS;
+use globaldb::migrate::metrics::{MIGRATIONS_COMPLETED, MIGRATIONS_STARTED};
 use globaldb::{Cluster, ClusterConfig, Datum, GdbError, SimDuration, SimTime};
 
 fn t(ms: u64) -> SimTime {
@@ -200,7 +202,7 @@ fn stale_routing_epoch_is_rejected_and_rerouted() {
         .expect_err("stale route must be rejected");
     assert!(matches!(err, GdbError::StaleRoute(_)), "got {err}");
     assert!(err.is_retryable(), "stale-route rejects are retryable");
-    assert_eq!(c.db.stats().stale_route_rejects, 1);
+    assert_eq!(c.db.obs().metrics.counter(STALE_ROUTE_REJECTS), 1);
     // The reject refreshed the CN's cache, so the retry re-routes and
     // succeeds.
     assert_eq!(c.db.cns()[0].route_epoch, 1);
@@ -210,7 +212,11 @@ fn stale_routing_epoch_is_rejected_and_rerouted() {
             .map(|_| ())
     })
     .expect("retry at the fresh epoch must succeed");
-    assert_eq!(c.db.stats().stale_route_rejects, 1, "no second reject");
+    assert_eq!(
+        c.db.obs().metrics.counter(STALE_ROUTE_REJECTS),
+        1,
+        "no second reject"
+    );
 }
 
 /// A batched plan — two primary moves plus a replica move onto a
@@ -251,11 +257,11 @@ fn batched_plan_bumps_epoch_once_and_stale_cn_retries() {
             },
         ])
         .unwrap();
-    assert_eq!(c.db.stats().migrations_started, 3);
+    assert_eq!(c.db.obs().metrics.counter(MIGRATIONS_STARTED), 3);
     c.run_until(c.now() + SimDuration::from_secs(3));
 
     // All three members completed under the same plan...
-    assert_eq!(c.db.stats().migrations_completed, 3);
+    assert_eq!(c.db.obs().metrics.counter(MIGRATIONS_COMPLETED), 3);
     assert!(c.db.migrations().iter().all(|m| m.plan != plan));
     // ...with exactly ONE epoch bump for the whole batch.
     assert_eq!(c.db.routing_epoch(), 1, "batch must flip the epoch once");

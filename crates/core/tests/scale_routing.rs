@@ -8,6 +8,8 @@
 //! read back prove it: each key carries a value derived from the key,
 //! so a wrong-shard read would surface as a missing/mismatched row.
 
+use gdb_router::metrics::STALE_ROUTE_REJECTS;
+use globaldb::migrate::metrics::{MIGRATIONS_COMPLETED, MIGRATIONS_STARTED};
 use globaldb::{Cluster, ClusterConfig, Datum, GdbError, SimDuration};
 
 const SHARDS: usize = 256;
@@ -62,7 +64,7 @@ fn routing_stays_exact_under_batched_migration_at_256_shards() {
         })
         .collect();
     c.start_plan(specs).unwrap();
-    assert_eq!(c.db.stats().migrations_started, MOVES as u64);
+    assert_eq!(c.db.obs().metrics.counter(MIGRATIONS_STARTED), MOVES as u64);
 
     // Interleave probing with the migration's progress: every step,
     // every probe key is read from a rotating CN. A StaleRoute must be
@@ -108,7 +110,7 @@ fn routing_stays_exact_under_batched_migration_at_256_shards() {
             );
         }
     }
-    assert_eq!(c.db.stats().stale_route_rejects, stale_seen);
+    assert_eq!(c.db.obs().metrics.counter(STALE_ROUTE_REJECTS), stale_seen);
 
     // The batch finished under exactly one epoch bump, and the table-
     // backed router agrees with the authoritative placement everywhere.
@@ -119,7 +121,7 @@ fn routing_stays_exact_under_batched_migration_at_256_shards() {
     c.db.cns_mut()[0].route_epoch = 0;
     let k = probes[0];
     let at = c.now() + SimDuration::from_millis(1);
-    let before = c.db.stats().stale_route_rejects;
+    let before = c.db.obs().metrics.counter(STALE_ROUTE_REJECTS);
     let err = c
         .run_transaction(0, at, true, false, |txn| {
             txn.execute(&sel, &[Datum::Int(k)]).map(|_| ())
@@ -127,7 +129,7 @@ fn routing_stays_exact_under_batched_migration_at_256_shards() {
         .expect_err("stale CN must be rejected");
     assert!(matches!(err, GdbError::StaleRoute(_)), "got {err}");
     assert!(err.is_retryable());
-    assert_eq!(c.db.stats().stale_route_rejects, before + 1);
+    assert_eq!(c.db.obs().metrics.counter(STALE_ROUTE_REJECTS), before + 1);
     assert_eq!(c.db.cns()[0].route_epoch, c.db.routing_epoch());
     let at = c.now() + SimDuration::from_millis(1);
     c.run_transaction(0, at, true, false, |txn| {
@@ -135,11 +137,14 @@ fn routing_stays_exact_under_batched_migration_at_256_shards() {
     })
     .expect("single retry after refresh must succeed");
     assert_eq!(
-        c.db.stats().stale_route_rejects,
+        c.db.obs().metrics.counter(STALE_ROUTE_REJECTS),
         before + 1,
         "no second reject"
     );
-    assert_eq!(c.db.stats().migrations_completed, MOVES as u64);
+    assert_eq!(
+        c.db.obs().metrics.counter(MIGRATIONS_COMPLETED),
+        MOVES as u64
+    );
     assert_eq!(c.db.routing_epoch(), 1, "one bump for the whole batch");
     for (s, shard) in c.db.shards().iter().enumerate() {
         assert_eq!(c.db.routes().primary(s), shard.primary);

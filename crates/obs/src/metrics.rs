@@ -7,27 +7,30 @@
 //! `replication.ship.wire_bytes`, `rcp.rounds`. Labelled instruments
 //! (per-`RpcKind`, per-region-pair) pass an owned `String`; keys are
 //! `Cow<'static, str>` so the static-name hot path stays allocation-free.
-//! Registration is implicit: the first record of a name creates the
-//! instrument. Storage is `BTreeMap`-backed so snapshots iterate in
-//! deterministic name order.
 //!
-//! # Handles
+//! # Storage and handles
 //!
-//! Per-transaction and per-message call sites should not pay a string
-//! `BTreeMap` lookup per record. [`MetricsRegistry::register_counter`] /
-//! [`MetricsRegistry::register_histogram`] resolve a name once to a
-//! [`CounterId`] / [`HistId`] — a plain `Vec` slot index — and the hot
-//! methods ([`MetricsRegistry::add`], [`MetricsRegistry::bump`],
-//! [`MetricsRegistry::record`]) are direct indexed writes. The name→id
-//! map is consulted only at registration and by the string-path methods,
-//! which transparently forward to the slot when a name is registered (so
-//! mixed usage stays consistent). A slot appears in [`snapshot`] only
-//! once touched, keeping snapshots bit-identical with the old implicit
-//! registration no matter how many instruments are pre-registered.
+//! Counters and histograms live in one place: `Vec` slots, each named
+//! once in a name→slot map. [`MetricsRegistry::register_counter`] /
+//! [`MetricsRegistry::register_histogram`] resolve a name to its
+//! [`CounterId`] / [`HistId`] slot index, creating the slot on first
+//! call, and the hot methods ([`MetricsRegistry::add`],
+//! [`MetricsRegistry::bump`], [`MetricsRegistry::record`]) are direct
+//! indexed writes. Per-transaction and per-message call sites resolve
+//! their handles once at startup so they never pay a string lookup per
+//! record. The string methods (`count`, `observe`, `set_counter`, …) do
+//! the same name→slot resolution on every call, so both paths always
+//! write the same slot.
+//!
+//! A counter appears in [`snapshot`] only once written (even with 0) and
+//! a histogram only once non-empty, so registering an instrument never
+//! changes a report by itself. [`MetricsRegistry::register_listed_counter`]
+//! is the exception: its counter is listed from registration on, at 0
+//! until the first event.
 //!
 //! Histograms use [`LatencyHistogram::bounded`] — O(1) memory streaming
 //! summaries — so per-transaction hot paths never accumulate per-sample
-//! storage.
+//! storage. Snapshots iterate in deterministic name order.
 //!
 //! [`snapshot`]: MetricsRegistry::snapshot
 
@@ -40,26 +43,23 @@ use std::collections::BTreeMap;
 /// Instrument name: a static constant or an owned labelled name.
 pub type MetricName = Cow<'static, str>;
 
-/// Handle to a pre-registered counter: a direct `Vec` slot index.
+/// Handle to a registered counter: a direct `Vec` slot index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterId(u32);
 
-/// Handle to a pre-registered histogram: a direct `Vec` slot index.
+/// Handle to a registered histogram: a direct `Vec` slot index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistId(u32);
 
 /// Live instrument storage.
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<MetricName, u64>,
     gauges: BTreeMap<MetricName, f64>,
-    histograms: BTreeMap<MetricName, LatencyHistogram>,
-    /// Slot storage for handle-based counters, parallel to
-    /// `counter_touched` / `counter_names`.
+    /// Counter values, parallel to `counter_touched` / `counter_names`.
     counter_slots: Vec<u64>,
-    /// Whether the slot has ever been written — untouched pre-registered
-    /// slots are excluded from snapshots, so registration alone never
-    /// changes a report.
+    /// Whether the slot has ever been written — untouched slots are
+    /// excluded from snapshots, so registration alone never changes a
+    /// report.
     counter_touched: Vec<bool>,
     counter_names: Vec<MetricName>,
     counter_ids: BTreeMap<MetricName, u32>,
@@ -73,32 +73,36 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Resolve `name` to a counter slot, creating it on first call. Any
-    /// value the string path already accumulated is adopted by the slot.
+    /// Resolve `name` to its counter slot, creating it on first call.
     pub fn register_counter(&mut self, name: impl Into<MetricName>) -> CounterId {
         let name = name.into();
         if let Some(&id) = self.counter_ids.get(&name) {
             return CounterId(id);
         }
         let id = self.counter_slots.len() as u32;
-        let existing = self.counters.remove(&name);
-        self.counter_touched.push(existing.is_some());
-        self.counter_slots.push(existing.unwrap_or(0));
+        self.counter_slots.push(0);
+        self.counter_touched.push(false);
         self.counter_names.push(name.clone());
         self.counter_ids.insert(name, id);
         CounterId(id)
     }
 
-    /// Resolve `name` to a histogram slot, creating it on first call.
+    /// [`register_counter`](Self::register_counter) for a counter every
+    /// snapshot lists, at 0 until its first event.
+    pub fn register_listed_counter(&mut self, name: impl Into<MetricName>) -> CounterId {
+        let id = self.register_counter(name);
+        self.add(id, 0);
+        id
+    }
+
+    /// Resolve `name` to its histogram slot, creating it on first call.
     pub fn register_histogram(&mut self, name: impl Into<MetricName>) -> HistId {
         let name = name.into();
         if let Some(&id) = self.hist_ids.get(&name) {
             return HistId(id);
         }
         let id = self.hist_slots.len() as u32;
-        let existing = self.histograms.remove(&name);
-        self.hist_slots
-            .push(existing.unwrap_or_else(LatencyHistogram::bounded));
+        self.hist_slots.push(LatencyHistogram::bounded());
         self.hist_names.push(name.clone());
         self.hist_ids.insert(name, id);
         HistId(id)
@@ -126,14 +130,9 @@ impl MetricsRegistry {
     }
 
     /// Add `delta` to counter `name` (created at zero on first use).
-    /// Forwards to the slot if `name` was registered.
     pub fn count(&mut self, name: impl Into<MetricName>, delta: u64) {
-        let name = name.into();
-        if let Some(&id) = self.counter_ids.get(&name) {
-            self.add(CounterId(id), delta);
-        } else {
-            *self.counters.entry(name).or_insert(0) += delta;
-        }
+        let id = self.register_counter(name);
+        self.add(id, delta);
     }
 
     pub fn incr(&mut self, name: impl Into<MetricName>) {
@@ -143,14 +142,9 @@ impl MetricsRegistry {
     /// Set counter `name` to an absolute value (for mirroring externally
     /// maintained totals into the registry at snapshot time).
     pub fn set_counter(&mut self, name: impl Into<MetricName>, value: u64) {
-        let name = name.into();
-        if let Some(&id) = self.counter_ids.get(&name) {
-            let i = id as usize;
-            self.counter_slots[i] = value;
-            self.counter_touched[i] = true;
-        } else {
-            self.counters.insert(name, value);
-        }
+        let i = self.register_counter(name).0 as usize;
+        self.counter_slots[i] = value;
+        self.counter_touched[i] = true;
     }
 
     pub fn gauge(&mut self, name: impl Into<MetricName>, value: f64) {
@@ -158,54 +152,34 @@ impl MetricsRegistry {
     }
 
     /// Record one latency observation into bounded histogram `name`.
-    /// Forwards to the slot if `name` was registered.
     pub fn observe(&mut self, name: impl Into<MetricName>, d: SimDuration) {
-        let name = name.into();
-        if let Some(&id) = self.hist_ids.get(&name) {
-            self.record(HistId(id), d);
-        } else {
-            self.histograms
-                .entry(name)
-                .or_insert_with(LatencyHistogram::bounded)
-                .record(d);
-        }
+        let id = self.register_histogram(name);
+        self.record(id, d);
     }
 
     /// Replace histogram `name` wholesale (for mirroring histograms
     /// maintained outside the registry into a snapshot).
     pub fn set_histogram(&mut self, name: impl Into<MetricName>, h: LatencyHistogram) {
-        let name = name.into();
-        if let Some(&id) = self.hist_ids.get(&name) {
-            self.hist_slots[id as usize] = h;
-        } else {
-            self.histograms.insert(name, h);
-        }
+        let id = self.register_histogram(name);
+        self.hist_slots[id.0 as usize] = h;
     }
 
     pub fn counter(&self, name: &str) -> u64 {
-        if let Some(&id) = self.counter_ids.get(name) {
-            return self.counter_slots[id as usize];
-        }
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counter_ids
+            .get(name)
+            .map_or(0, |&id| self.counter_slots[id as usize])
     }
 
     pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
-        if let Some(&id) = self.hist_ids.get(name) {
-            let h = &self.hist_slots[id as usize];
-            return if h.is_empty() { None } else { Some(h) };
-        }
-        self.histograms.get(name)
+        let &id = self.hist_ids.get(name)?;
+        let h = &self.hist_slots[id as usize];
+        (!h.is_empty()).then_some(h)
     }
 
-    /// Freeze the registry into a comparable, serializable report.
-    /// Registered slots are included only once touched (counters) or
-    /// non-empty (histograms), so the report is identical whether an
-    /// instrument went through the handle or the string path.
+    /// Freeze the registry into a comparable, serializable report:
+    /// counters once written, every gauge, histograms once non-empty.
     pub fn snapshot(&self) -> MetricsReport {
         let mut metrics = BTreeMap::new();
-        for (name, &v) in &self.counters {
-            metrics.insert(name.to_string(), Metric::Counter(v));
-        }
         for (i, &v) in self.counter_slots.iter().enumerate() {
             if self.counter_touched[i] {
                 metrics.insert(self.counter_names[i].to_string(), Metric::Counter(v));
@@ -213,9 +187,6 @@ impl MetricsRegistry {
         }
         for (name, &v) in &self.gauges {
             metrics.insert(name.to_string(), Metric::Gauge(v));
-        }
-        for (name, h) in &self.histograms {
-            metrics.insert(name.to_string(), Metric::Histogram(HistSummary::of(h)));
         }
         for (i, h) in self.hist_slots.iter().enumerate() {
             if !h.is_empty() {
@@ -478,13 +449,12 @@ mod tests {
     #[test]
     fn handles_resolve_to_slots_and_interop_with_strings() {
         let mut r = MetricsRegistry::new();
-        // Registration adopts a value the string path already recorded.
+        // The string path and the handle write the same slot.
         r.count("a.events", 2);
         let c = r.register_counter("a.events");
         assert_eq!(r.register_counter("a.events"), c);
         r.add(c, 3);
         r.bump(c);
-        // The string path forwards to the slot after registration.
         r.incr("a.events");
         assert_eq!(r.counter("a.events"), 7);
 
@@ -516,5 +486,19 @@ mod tests {
         plain.observe("x.lat_us", SimDuration::from_micros(7));
 
         assert_eq!(with_handles.snapshot(), plain.snapshot());
+    }
+
+    #[test]
+    fn listed_counters_and_zero_writes_appear_at_zero() {
+        let mut r = MetricsRegistry::new();
+        let listed = r.register_listed_counter("x.listed");
+        r.set_counter("x.mirrored", 0);
+        r.count("x.counted", 0);
+        let snap = r.snapshot();
+        for name in ["x.listed", "x.mirrored", "x.counted"] {
+            assert_eq!(snap.counter(name), Some(0), "{name}");
+        }
+        r.bump(listed);
+        assert_eq!(r.snapshot().counter("x.listed"), Some(1));
     }
 }

@@ -210,7 +210,12 @@ mod tests {
         assert_eq!(rc.cluster.db.transport_name(), backend.label());
         rc.cluster.finish_load();
         rc.cluster.run_until(SimTime::from_millis(200));
-        let commits = rc.cluster.db.stats().committed;
+        let commits = rc
+            .cluster
+            .db
+            .obs()
+            .metrics
+            .counter(globaldb::gdb_txnmgr::metrics::COMMITTED);
         let report = rc.shutdown();
         let verdict = report.verify_against_plane(rc.cluster.db.plane());
         (report, verdict, commits)

@@ -6,6 +6,7 @@
 
 use gdb_rebalance::{drain_host, HotShardDetector, LegacyController, RebalanceController};
 use gdb_simnet::RegionId;
+use globaldb::migrate::metrics::{MIGRATIONS_ABORTED, MIGRATIONS_COMPLETED, MIGRATIONS_STARTED};
 use globaldb::{Cluster, ClusterConfig, Datum, SimTime};
 
 fn t(ms: u64) -> SimTime {
@@ -144,8 +145,8 @@ fn skewed_load_triggers_migration_and_improves_spread() {
         proposal.to.host,
         "primary landed on the target"
     );
-    assert_eq!(c.db.stats().migrations_completed, 1);
-    assert_eq!(c.db.stats().migrations_aborted, 0);
+    assert_eq!(c.db.obs().metrics.counter(MIGRATIONS_COMPLETED), 1);
+    assert_eq!(c.db.obs().metrics.counter(MIGRATIONS_ABORTED), 0);
     let _ = stale_retries; // informational: may be 0 if no write hit the announce window
 
     // Read-your-writes across the cutover: the migrated primary serves
@@ -217,8 +218,8 @@ fn target_crash_mid_migration_aborts_and_leaves_source_owner() {
     assert_eq!(c.db.shards()[0].primary, source);
     assert_eq!(c.db.shards()[0].owner_epoch, 0);
     assert_eq!(c.db.routing_epoch(), 0);
-    assert_eq!(c.db.stats().migrations_aborted, 1);
-    assert_eq!(c.db.stats().migrations_completed, 0);
+    assert_eq!(c.db.obs().metrics.counter(MIGRATIONS_ABORTED), 1);
+    assert_eq!(c.db.obs().metrics.counter(MIGRATIONS_COMPLETED), 0);
 
     // The source keeps serving reads and writes.
     let upd = c.prepare("UPDATE kv SET v = ? WHERE k = ?").unwrap();
@@ -239,7 +240,7 @@ fn balanced_load_keeps_the_controller_idle() {
     let keys: Vec<i64> = (0..120).collect();
     read_window(&mut c, &keys, 240, t(310));
     assert!(controller.tick(&mut c).is_empty());
-    assert_eq!(c.db.stats().migrations_started, 0);
+    assert_eq!(c.db.obs().metrics.counter(MIGRATIONS_STARTED), 0);
     assert_eq!(c.db.routing_epoch(), 0);
 }
 
@@ -289,8 +290,11 @@ fn drain_host_empties_and_retires_it() {
     assert_eq!(c.db.retired_hosts(), &[(RegionId(0), 2)]);
     // One batched plan, one routing-epoch bump (it moved >= 1 primary).
     assert_eq!(c.db.routing_epoch(), epoch_before + 1);
-    assert_eq!(c.db.stats().migrations_completed as usize, expected_moves);
-    assert_eq!(c.db.stats().migrations_aborted, 0);
+    assert_eq!(
+        c.db.obs().metrics.counter(MIGRATIONS_COMPLETED) as usize,
+        expected_moves
+    );
+    assert_eq!(c.db.obs().metrics.counter(MIGRATIONS_ABORTED), 0);
 
     // Every shard still serves its keys after the shuffle.
     let sel = c.prepare("SELECT v FROM kv WHERE k = ?").unwrap();

@@ -14,6 +14,10 @@ pub const SHIP_RAW_BYTES: &str = "replication.ship.raw_bytes";
 pub const SHIP_WIRE_BYTES: &str = "replication.ship.wire_bytes";
 /// Seal-to-arrival latency of one shipped batch.
 pub const SHIP_BATCH_US: &str = "replication.ship.batch_us";
+/// Sealed redo records trimmed from shard shipping buffers once every
+/// durable consumer (replica appliers, in-flight migrations) had
+/// advanced past them.
+pub const REDO_RECORDS_TRIMMED: &str = "replication.redo_records_trimmed";
 
 /// Per-replica RCP lag gauge prefix: `<prefix>.s<shard>.r<replica>` is
 /// how far (in µs of virtual time) the replica's replayed commit
@@ -38,7 +42,7 @@ pub fn replica_backlog_gauge(shard: usize, replica: usize) -> String {
 use gdb_obs::{CounterId, HistId, MetricsRegistry};
 
 /// Pre-registered handles for the per-batch shipping hot path (recorded
-/// once per shipped batch at flush time).
+/// once per shipped batch at flush time) and for shipping-buffer trims.
 #[derive(Debug, Clone, Copy)]
 pub struct ShipHandles {
     pub batches: CounterId,
@@ -46,6 +50,7 @@ pub struct ShipHandles {
     pub raw_bytes: CounterId,
     pub wire_bytes: CounterId,
     pub batch_us: HistId,
+    pub records_trimmed: CounterId,
 }
 
 impl ShipHandles {
@@ -56,6 +61,7 @@ impl ShipHandles {
             raw_bytes: m.register_counter(SHIP_RAW_BYTES),
             wire_bytes: m.register_counter(SHIP_WIRE_BYTES),
             batch_us: m.register_histogram(SHIP_BATCH_US),
+            records_trimmed: m.register_counter(REDO_RECORDS_TRIMMED),
         }
     }
 }

@@ -181,8 +181,8 @@ impl Shell {
             c.db.routing_epoch(),
             c.db.shards().len(),
             c.db.topo().node_count(),
-            c.db.stats().committed,
-            c.db.stats().aborted,
+            c.db.obs().metrics.counter(gdb_txnmgr::metrics::COMMITTED),
+            c.db.obs().metrics.counter(gdb_txnmgr::metrics::ABORTED),
             c.db.migrating_shards().len(),
         )
     }

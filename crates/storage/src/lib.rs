@@ -32,6 +32,9 @@ pub mod metrics {
     /// Per-shard gauge prefix: allocator bytes pinned by the shard
     /// primary's version arenas. Full name `{prefix}.s{shard}`.
     pub const ARENA_RESIDENT_BYTES_PREFIX: &str = "storage.arena_resident_bytes";
+    /// Shard storages (primary or replica) compacted under arena memory
+    /// pressure: `arena_soft_limit_bytes` exceeded at a vacuum tick.
+    pub const PRESSURE_COMPACTIONS: &str = "storage.pressure_compactions";
 
     /// The per-shard arena footprint gauge name.
     pub fn arena_resident_bytes_gauge(shard: usize) -> String {
@@ -47,6 +50,10 @@ mod tests {
         assert_eq!(
             super::metrics::arena_resident_bytes_gauge(3),
             "storage.arena_resident_bytes.s3"
+        );
+        assert_eq!(
+            super::metrics::PRESSURE_COMPACTIONS,
+            "storage.pressure_compactions"
         );
     }
 }

@@ -30,14 +30,20 @@ pub const PHASE_REPLICATION_ACK_US: &str = "txnmgr.phase.replication_ack_us";
 /// the `phases_us` artifact section.
 pub const PHASE_PREFIX: &str = "txnmgr.phase.";
 
-use gdb_obs::{HistId, MetricsRegistry};
+use gdb_obs::{CounterId, HistId, MetricsRegistry};
 
-/// Pre-registered handles for the per-transaction hot path: the
-/// end-to-end latency histogram and the five phase histograms recorded on
-/// every commit. Resolved once at cluster construction; recording through
-/// them is a direct slot write (see `gdb_obs::metrics`).
+/// Pre-registered handles for the per-transaction hot path: the outcome
+/// counters, the end-to-end latency histogram and the five phase
+/// histograms recorded on every commit. Resolved once at cluster
+/// construction; recording through them is a direct slot write (see
+/// `gdb_obs::metrics`). The counters are listed in every snapshot, at 0
+/// until their first event.
 #[derive(Debug, Clone, Copy)]
 pub struct TxnHandles {
+    pub committed: CounterId,
+    pub aborted: CounterId,
+    pub lock_waits: CounterId,
+    pub commit_wait_total_us: CounterId,
     pub latency_us: HistId,
     pub phase_snapshot_us: HistId,
     pub phase_execute_us: HistId,
@@ -49,6 +55,10 @@ pub struct TxnHandles {
 impl TxnHandles {
     pub fn register(m: &mut MetricsRegistry) -> Self {
         TxnHandles {
+            committed: m.register_listed_counter(COMMITTED),
+            aborted: m.register_listed_counter(ABORTED),
+            lock_waits: m.register_listed_counter(LOCK_WAITS),
+            commit_wait_total_us: m.register_listed_counter(COMMIT_WAIT_TOTAL_US),
             latency_us: m.register_histogram(LATENCY_US),
             phase_snapshot_us: m.register_histogram(PHASE_SNAPSHOT_US),
             phase_execute_us: m.register_histogram(PHASE_EXECUTE_US),

@@ -8,6 +8,7 @@
 
 use crate::report::WorkloadReport;
 use gdb_model::GdbResult;
+use globaldb::gdb_router::metrics::{READS_ON_PRIMARY, READS_ON_REPLICA};
 use globaldb::{Cluster, SimDuration, SimTime, TxnOutcome};
 use rand::Rng;
 use std::cmp::Reverse;
@@ -174,8 +175,9 @@ pub fn run_workload(
     let measure_from = t0 + config.warmup;
     let t_end = measure_from + config.duration;
 
-    let replica_reads_before = cluster.db.stats().reads_on_replica;
-    let primary_reads_before = cluster.db.stats().reads_on_primary;
+    let reads = |c: &Cluster, name: &str| c.db.obs().metrics.counter(name);
+    let replica_reads_before = reads(cluster, READS_ON_REPLICA);
+    let primary_reads_before = reads(cluster, READS_ON_PRIMARY);
 
     let mut report = WorkloadReport {
         duration: config.duration,
@@ -213,8 +215,8 @@ pub fn run_workload(
     // is consistent for whoever inspects the cluster next.
     cluster.run_until(t_end);
 
-    report.reads_on_replica = cluster.db.stats().reads_on_replica - replica_reads_before;
-    report.reads_on_primary = cluster.db.stats().reads_on_primary - primary_reads_before;
+    report.reads_on_replica = reads(cluster, READS_ON_REPLICA) - replica_reads_before;
+    report.reads_on_primary = reads(cluster, READS_ON_PRIMARY) - primary_reads_before;
     report
 }
 

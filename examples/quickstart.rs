@@ -96,10 +96,11 @@ fn main() {
         "served from replica: {} (latency {})",
         outcome.used_replica, outcome.latency
     );
+    let metrics = &cluster.db.obs().metrics;
     println!(
         "cluster stats: {} replica reads, {} primary reads, {} heartbeats",
-        cluster.db.stats().reads_on_replica,
-        cluster.db.stats().reads_on_primary,
-        cluster.db.stats().heartbeats_sent
+        metrics.counter(gdb_router::metrics::READS_ON_REPLICA),
+        metrics.counter(gdb_router::metrics::READS_ON_PRIMARY),
+        metrics.counter(gdb_consistency::metrics::HEARTBEATS_SENT)
     );
 }

@@ -9,7 +9,8 @@
 #   lint           cargo fmt --check && cargo clippy -D warnings, plus
 #                  benchcmp validate over every committed BENCH_*.json
 #   build          cargo build --release
-#   test           cargo test -q
+#   test           cargo test -q (the umbrella package and every
+#                  crates/* suite: the workspace default-members)
 #   nemesis-smoke  nemesis seeds 1..5 (the CI "nemesis" job)
 #   shell          gdb-shell tests + committed scenario replays (the CI
 #                  "shell" job)
