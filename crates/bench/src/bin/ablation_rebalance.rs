@@ -24,7 +24,7 @@
 //! Regenerate with: `cargo run -p gdb-bench --release --bin ablation_rebalance`
 
 use gdb_bench::{artifact, emit_artifact, print_table, ratio, series_from_run, BenchParams};
-use gdb_obs::{COUNTER_GATE_MAX_KEY, COUNTER_GATE_METRIC_KEY, COUNTER_GATE_SERIES_KEY};
+use gdb_obs::Gate;
 use gdb_rebalance::RebalanceController;
 use gdb_simnet::stats::LatencyHistogram;
 use gdb_simnet::{SimDuration, SimTime};
@@ -127,9 +127,11 @@ fn main() {
     let mut art = artifact("ablation_rebalance", &params);
     // The counter gate: `rebalance-skew` must converge within the
     // migration budget, and never regress past the blessed count.
-    art.config_kv(COUNTER_GATE_METRIC_KEY, "rebalance.migrations_started");
-    art.config_kv(COUNTER_GATE_MAX_KEY, MAX_MIGRATIONS);
-    art.config_kv(COUNTER_GATE_SERIES_KEY, "rebalance-skew");
+    art.gates.push(Gate::Counter {
+        metric: "rebalance.migrations_started".into(),
+        series: "rebalance-skew".into(),
+        max: MAX_MIGRATIONS,
+    });
 
     let (mut c_static, r_static, _) = run(&params, None);
     let mut controller = RebalanceController::new();

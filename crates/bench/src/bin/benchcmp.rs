@@ -2,29 +2,32 @@
 //!
 //! ```text
 //! benchcmp merge OUT.json IN1.json [IN2.json ...]
-//! benchcmp check BASELINE.json CURRENT.json [--tolerance 0.20]
+//! benchcmp check BASELINE.json CURRENT.json
 //! benchcmp validate FILE.json [FILE.json ...]
 //! ```
 //!
 //! `merge` bundles several `gdb-bench/v1` artifacts into one
-//! `gdb-bench/bundle/v1` document. `check` compares current throughput
-//! against a committed baseline and exits non-zero if any series
-//! regressed beyond the tolerance (default 20%) or disappeared.
+//! `gdb-bench/bundle/v1` document. `check` runs the gates each artifact
+//! of a committed baseline lists (figure throughput and phases, in-run
+//! ratios with floors, counter ceilings) against the current run and
+//! exits non-zero if any gate fails or a gated series disappeared.
 //! `validate` parses every given artifact file and fails on schema
-//! drift (bad gate config, broken quantile ordering, duplicate or
-//! missing series) — the lint stage runs it over all committed
-//! `BENCH_*.json` baselines so drift is caught before a bench run.
+//! drift (malformed gates, gated metrics missing from the series, broken
+//! quantile ordering, duplicate or missing series) — the lint stage runs
+//! it over all committed `BENCH_*.json` baselines so drift is caught
+//! before a bench run.
 //! `.toml` arguments are linted as scenario files instead (unknown
 //! tables/keys, dangling plan or fault names), so the same stage covers
 //! the committed `scenarios/*.toml`.
 
+use gdb_obs::report::TOLERANCE;
 use gdb_obs::{bundle, compare_artifacts, load_artifacts, validate_artifacts, BenchArtifact, Json};
 use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
         "usage: benchcmp merge OUT.json IN.json [IN.json ...]\n\
-         \x20      benchcmp check BASELINE.json CURRENT.json [--tolerance 0.20]\n\
+         \x20      benchcmp check BASELINE.json CURRENT.json\n\
          \x20      benchcmp validate FILE.json|SCENARIO.toml [...]"
     );
     std::process::exit(2);
@@ -59,10 +62,10 @@ fn merge(out: &str, inputs: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn check(baseline: &str, current: &str, tolerance: f64) -> ExitCode {
+fn check(baseline: &str, current: &str) -> ExitCode {
     let base = read_artifacts(baseline);
     let cur = read_artifacts(current);
-    let comparisons = compare_artifacts(&base, &cur, tolerance);
+    let comparisons = compare_artifacts(&base, &cur);
     if comparisons.is_empty() {
         eprintln!("benchcmp: baseline {baseline} has no series to compare");
         return ExitCode::from(2);
@@ -78,14 +81,14 @@ fn check(baseline: &str, current: &str, tolerance: f64) -> ExitCode {
         eprintln!(
             "benchcmp: {failed}/{} comparisons regressed more than {:.0}% vs {baseline}",
             comparisons.len(),
-            tolerance * 100.0
+            TOLERANCE * 100.0
         );
         ExitCode::FAILURE
     } else {
         println!(
             "all {} comparisons within {:.0}% of {baseline}",
             comparisons.len(),
-            tolerance * 100.0
+            TOLERANCE * 100.0
         );
         ExitCode::SUCCESS
     }
@@ -135,24 +138,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("merge") if args.len() >= 3 => merge(&args[1], &args[2..]),
         Some("validate") if args.len() >= 2 => validate(&args[1..]),
-        Some("check") if args.len() >= 3 => {
-            let mut tolerance = 0.20;
-            let mut i = 3;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--tolerance" => {
-                        i += 1;
-                        tolerance = args
-                            .get(i)
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage());
-                    }
-                    _ => usage(),
-                }
-                i += 1;
-            }
-            check(&args[1], &args[2], tolerance)
-        }
+        Some("check") if args.len() == 3 => check(&args[1], &args[2]),
         _ => usage(),
     }
 }

@@ -10,11 +10,11 @@
 //!   scratch (*fast*) vs the frozen [`MapRouteTable`] map walk with
 //!   per-terminal Zipf setup and per-op scratch allocation (*legacy*,
 //!   the pre-table behavior). An FNV digest over every routing decision
-//!   asserts the two made identical calls; the gate then enforces the
-//!   machine-local ops/s ratio (`wall_floor` 2×) and the lower-is-
-//!   better `workload.terminal_bytes` leg (allocator bytes charged per
-//!   terminal).
-//! * **`scale_cluster`** (informational, no baseline series) — the same
+//!   asserts the two made identical calls; two ratio gates then enforce
+//!   the machine-local ops/s ratio (floor 2×) and the lower-is-better
+//!   `workload.terminal_bytes` ratio (allocator bytes charged per
+//!   terminal, floor 4×).
+//! * **`scale_cluster`** (informational, no gates) — the same
 //!   cluster runs the closed-loop TPC-C + Zipf-sysbench mix through the
 //!   real storage path, reporting virtual throughput, counting-
 //!   allocator peak footprint, and bytes per terminal.
@@ -29,8 +29,7 @@
 
 use gdb_bench::{json_out_path, print_table, series_from_run};
 use gdb_obs::{
-    bundle, BenchArtifact, BenchSeries, HistSummary, MetricsRegistry, NetStats,
-    WALL_ALLOC_FLOOR_KEY, WALL_ALLOC_METRIC_KEY, WALL_CLOCK_KEY, WALL_FLOOR_KEY,
+    bundle, BenchArtifact, BenchSeries, Gate, HistSummary, MetricsRegistry, NetStats, Quantity,
 };
 use gdb_router::{MapRouteTable, RouteTable};
 use gdb_simnet::stats::LatencyHistogram;
@@ -466,15 +465,20 @@ fn main() {
     let state_improvement = per_t(&legacy) / per_t(&fast).max(1e-9);
 
     let mut scale = BenchArtifact::new("scale");
-    scale.config_kv(WALL_CLOCK_KEY, "true");
     // Gate floors: ≥2× routed ops/s over the map walk, ≥4× fewer
     // allocator bytes per terminal — machine-local ratios.
-    scale.config_kv(WALL_FLOOR_KEY, "2");
-    scale.config_kv(
-        WALL_ALLOC_METRIC_KEY,
-        gdb_workloads::metrics::TERMINAL_BYTES,
-    );
-    scale.config_kv(WALL_ALLOC_FLOOR_KEY, "4");
+    scale.gates = vec![
+        Gate::Ratio {
+            of: Quantity::Throughput,
+            baseline: "legacy".into(),
+            floor: 2.0,
+        },
+        Gate::Ratio {
+            of: Quantity::Gauge(gdb_workloads::metrics::TERMINAL_BYTES.into()),
+            baseline: "legacy".into(),
+            floor: 4.0,
+        },
+    ];
     scale.config_kv("shards", p.shards);
     scale.config_kv("regions", p.regions);
     scale.config_kv("terminals", p.terminals);
@@ -563,9 +567,8 @@ fn main() {
     );
 
     let mut scale_cluster = BenchArtifact::new("scale_cluster");
-    // Wall-clock-local and without a baseline series: informational
-    // (the gated ratios live in the `scale` artifact above).
-    scale_cluster.config_kv(WALL_CLOCK_KEY, "true");
+    // Wall-clock-local and without a baseline series: no gates (the
+    // gated ratios live in the `scale` artifact above).
     scale_cluster.config_kv("shards", p.shards);
     scale_cluster.config_kv("regions", p.regions);
     scale_cluster.config_kv("terminals", p.terminals);

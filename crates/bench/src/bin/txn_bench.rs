@@ -8,9 +8,9 @@
 //! * **speedup** — committed txns/sec, fast over legacy, gated in CI by
 //!   `benchcmp check` as a machine-local *ratio* (never an absolute);
 //! * **allocations per committed transaction** — measured by a counting
-//!   global allocator; the artifact names the gauge in its
-//!   `wall_alloc_metric` config so the gate also enforces the
-//!   lower-is-better allocation improvement (floor: 10× fewer).
+//!   global allocator; a second ratio gate over the
+//!   `txn.allocs_per_txn` gauge enforces the lower-is-better allocation
+//!   improvement (floor: 10× fewer).
 //!
 //! Regenerate the baseline with `scripts/regen_bench.sh` (or directly:
 //! `cargo run --release -p gdb-bench --bin txn_bench -- --json
@@ -22,8 +22,7 @@ use gdb_bench::txnpath::{
 };
 use gdb_bench::{json_out_path, print_table};
 use gdb_obs::{
-    bundle, BenchArtifact, BenchSeries, HistSummary, MetricsRegistry, NetStats,
-    WALL_ALLOC_FLOOR_KEY, WALL_ALLOC_METRIC_KEY, WALL_CLOCK_KEY, WALL_FLOOR_KEY,
+    bundle, BenchArtifact, BenchSeries, Gate, HistSummary, MetricsRegistry, NetStats, Quantity,
 };
 use gdb_simnet::stats::LatencyHistogram;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -162,12 +161,20 @@ fn main() {
     let alloc_improvement = per_txn(&legacy) / per_txn(&fast).max(1e-9);
 
     let mut txn = BenchArtifact::new("txn");
-    txn.config_kv(WALL_CLOCK_KEY, "true");
     // Gate floors: ≥1.5× wall-clock speedup, ≥10× fewer allocs/txn —
     // both ratios of in-run series, portable across machines.
-    txn.config_kv(WALL_FLOOR_KEY, "1.5");
-    txn.config_kv(WALL_ALLOC_METRIC_KEY, "txn.allocs_per_txn");
-    txn.config_kv(WALL_ALLOC_FLOOR_KEY, "10");
+    txn.gates = vec![
+        Gate::Ratio {
+            of: Quantity::Throughput,
+            baseline: "legacy".into(),
+            floor: 1.5,
+        },
+        Gate::Ratio {
+            of: Quantity::Gauge("txn.allocs_per_txn".into()),
+            baseline: "legacy".into(),
+            floor: 10.0,
+        },
+    ];
     txn.config_kv("txns", txns);
     txn.config_kv("window", window);
     txn.config_kv("seed", SCRIPT_SEED);

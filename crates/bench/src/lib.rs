@@ -13,7 +13,7 @@
 
 pub mod txnpath;
 
-use gdb_obs::{BenchArtifact, BenchSeries, HistSummary, NetStats};
+use gdb_obs::{BenchArtifact, BenchSeries, Gate, HistSummary, NetStats};
 use gdb_simnet::stats::LatencyHistogram;
 use gdb_simnet::SimDuration;
 use gdb_workloads::driver::{run_workload, RunConfig, Workload};
@@ -139,9 +139,11 @@ pub fn trace_out_path() -> Option<PathBuf> {
 }
 
 /// Start a `gdb-bench/v1` artifact for one figure, recording the run
-/// configuration (scale, virtual seconds, terminals, seed).
+/// configuration (scale, virtual seconds, terminals, seed) and gated by
+/// [`Gate::Figure`]: deterministic virtual-time throughput and phases.
 pub fn artifact(figure: &str, params: &BenchParams) -> BenchArtifact {
     let mut a = BenchArtifact::new(figure);
+    a.gates.push(Gate::Figure);
     a.config_kv("scale", params.scale_name);
     a.config_kv("secs", params.run.duration.as_secs_f64());
     a.config_kv("terminals", params.run.terminals);

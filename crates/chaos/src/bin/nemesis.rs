@@ -10,13 +10,14 @@
 
 use gdb_chaos::plan::canned;
 use gdb_chaos::{run_nemesis, run_plan, ChaosConfig, ChaosReport};
-use gdb_obs::{flag_value, parse_duration, BenchArtifact, BenchSeries, NetStats};
+use gdb_obs::{flag_value, parse_duration, BenchArtifact, BenchSeries, Gate, NetStats};
 use gdb_simnet::SimDuration;
 use std::process::ExitCode;
 
 /// Encode one run as a `gdb-bench/v1` artifact (figure `nemesis`).
 fn to_artifact(report: &ChaosReport, seed: u64) -> BenchArtifact {
     let mut art = BenchArtifact::new("nemesis");
+    art.gates.push(Gate::Figure);
     art.config_kv("seed", seed);
     art.config_kv("plan", &report.plan_name);
     art.config_kv("duration_s", report.duration.as_secs_f64());

@@ -78,10 +78,6 @@ impl RcpCalculator {
             self.expected.push(replica);
         }
     }
-
-    pub fn expected_replicas(&self) -> &[ReplicaSlot] {
-        &self.expected
-    }
 }
 
 #[cfg(test)]

@@ -9,9 +9,10 @@
 //! "artifacts": [...]}`) — `BENCH_smoke.json` is such a bundle covering
 //! all five figures at tiny scale.
 //!
-//! [`compare_artifacts`] implements the regression gate: for every
-//! `(figure, series)` pair present in the baseline, current throughput
-//! must be at least `(1 - tolerance) ×` the baseline's.
+//! [`compare_artifacts`] implements the regression gate: each baseline
+//! artifact lists the [`Gate`]s it is held to (figure throughput and
+//! phases, an in-run ratio with a floor, a counter ceiling), and the
+//! comparison runs every listed gate against the current run.
 
 use crate::json::Json;
 use crate::metrics::{HistSummary, MetricsReport};
@@ -154,7 +155,8 @@ impl BenchSeries {
     }
 }
 
-/// One figure run: configuration + all its series.
+/// One figure run: configuration, the gates it is held to, and all its
+/// series.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct BenchArtifact {
     /// Figure name (`fig1a`, `fig6a`, …, `nemesis`).
@@ -162,6 +164,9 @@ pub struct BenchArtifact {
     /// Run configuration as ordered key/value strings (scale, seconds,
     /// terminals, seed, …).
     pub config: Vec<(String, String)>,
+    /// What [`compare_artifacts`] checks when this artifact is the
+    /// blessed baseline.
+    pub gates: Vec<Gate>,
     pub series: Vec<BenchSeries>,
 }
 
@@ -169,61 +174,12 @@ impl BenchArtifact {
     pub fn new(figure: impl Into<String>) -> Self {
         BenchArtifact {
             figure: figure.into(),
-            config: Vec::new(),
-            series: Vec::new(),
+            ..Default::default()
         }
     }
 
     pub fn config_kv(&mut self, key: impl Into<String>, value: impl ToString) {
         self.config.push((key.into(), value.to_string()));
-    }
-
-    /// Whether this artifact holds machine-local wall-clock measurements
-    /// (see [`WALL_CLOCK_KEY`]): the gate then compares speedup ratios
-    /// only, never absolute numbers.
-    pub fn is_wall_clock(&self) -> bool {
-        self.config
-            .iter()
-            .any(|(k, v)| k == WALL_CLOCK_KEY && v == "true")
-    }
-
-    /// The value of a config key, if present.
-    pub fn config_value(&self, key: &str) -> Option<&str> {
-        self.config
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// The label of this wall-clock artifact's in-run baseline series
-    /// ([`WALL_BASELINE_KEY`] override, else [`WALL_BASELINE_LABEL`]).
-    pub fn wall_baseline_label(&self) -> &str {
-        self.config_value(WALL_BASELINE_KEY)
-            .unwrap_or(WALL_BASELINE_LABEL)
-    }
-
-    /// This wall-clock artifact's absolute ratio floor
-    /// ([`WALL_FLOOR_KEY`] override, else [`WALL_SPEEDUP_FLOOR`]).
-    pub fn wall_floor(&self) -> f64 {
-        self.config_value(WALL_FLOOR_KEY)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(WALL_SPEEDUP_FLOOR)
-    }
-
-    /// This wall-clock artifact's `alloc_improvement` floor
-    /// ([`WALL_ALLOC_FLOOR_KEY`] override, else 1.0).
-    pub fn wall_alloc_floor(&self) -> f64 {
-        self.config_value(WALL_ALLOC_FLOOR_KEY)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1.0)
-    }
-
-    /// The absolute ceiling of this artifact's counter-gate leg
-    /// ([`COUNTER_GATE_MAX_KEY`]; unbounded when absent).
-    pub fn counter_gate_max(&self) -> f64 {
-        self.config_value(COUNTER_GATE_MAX_KEY)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(f64::INFINITY)
     }
 
     pub fn to_json(&self) -> Json {
@@ -236,6 +192,10 @@ impl BenchArtifact {
             ("schema", Json::str(SCHEMA)),
             ("figure", Json::str(&self.figure)),
             ("config", Json::Obj(config)),
+            (
+                "gates",
+                Json::Arr(self.gates.iter().map(Gate::to_json).collect()),
+            ),
             (
                 "series",
                 Json::Arr(self.series.iter().map(BenchSeries::to_json).collect()),
@@ -270,9 +230,18 @@ impl BenchArtifact {
             .iter()
             .map(|s| BenchSeries::from_json(s, &ctx))
             .collect::<Result<Vec<_>, _>>()?;
+        let ctx = format!("artifact[{figure}].gates");
+        let gates = v
+            .get("gates")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| format!("artifact[{figure}]: missing gates"))?
+            .iter()
+            .map(|g| Gate::from_json(g, &series, &ctx))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(BenchArtifact {
             figure,
             config,
+            gates,
             series,
         })
     }
@@ -365,327 +334,329 @@ pub fn to_chrome_trace(tracer: &Tracer) -> String {
     .to_pretty()
 }
 
-/// The phase components the gate diffs in addition to throughput: the
-/// geo-distribution costs the paper's figures are about (GClock commit
-/// wait, synchronous replication acknowledgement).
+/// The phase components a [`Gate::Figure`] diffs in addition to
+/// throughput: the geo-distribution costs the paper's figures are about
+/// (GClock commit wait, synchronous replication acknowledgement).
 pub const GATED_PHASES: &[&str] = &["commit_wait", "replication_ack"];
 
-/// Config key (`"wall_clock" = "true"`) marking an artifact as measured
-/// in *wall-clock* time. Wall-clock numbers are machine-local: the same
-/// commit produces wildly different events/sec on a laptop vs a CI
-/// runner, so the gate must never compare their absolute values across
-/// machines. Instead, a wall-clock artifact carries its own in-run
-/// baseline — a series labelled [`WALL_BASELINE_LABEL`] re-measured on
-/// the same machine in the same process — and only the *speedup ratio*
-/// of every other series over it is gated.
-pub const WALL_CLOCK_KEY: &str = "wall_clock";
-
-/// The in-run baseline series of a wall-clock artifact (the frozen
-/// pre-optimization engine, re-run on the current machine), unless the
-/// artifact names a different one via [`WALL_BASELINE_KEY`].
-pub const WALL_BASELINE_LABEL: &str = "legacy";
-
-/// Config key naming the in-run baseline series of a wall-clock
-/// artifact. The engine benches baseline against a frozen `legacy`
-/// implementation; the realnet smoke instead baselines its loopback-TCP
-/// backend against the in-process thread backend (`wall_baseline` =
-/// `"thread"`), measured in the same run on the same machine.
-pub const WALL_BASELINE_KEY: &str = "wall_baseline";
-
-/// Config key overriding [`WALL_SPEEDUP_FLOOR`] for one artifact. The
-/// ratio being gated need not be a speed*up*: the realnet smoke gates
-/// `tcp / thread` throughput, which is legitimately below 1 (real
-/// sockets cost more than channels), so its floor is a small fraction
-/// guarding against collapse rather than a 1.2× win.
-pub const WALL_FLOOR_KEY: &str = "wall_floor";
-
-/// Config key naming a *lower-is-better* gauge (e.g.
-/// `"txn.allocs_per_txn"`) carried in each series' metrics snapshot of a
-/// wall-clock artifact. When set, the gate adds an `alloc_improvement`
-/// comparison per non-baseline series: the ratio `baseline gauge /
-/// series gauge` (how many times fewer allocations the optimized path
-/// makes) must hold up against the blessed ratio within [`WALL_SLACK`]
-/// and never drop below the artifact's [`WALL_ALLOC_FLOOR_KEY`] floor.
-/// Allocation counts are deterministic per build (unlike wall time), so
-/// this leg is far less noisy than the speedup leg it mirrors.
-pub const WALL_ALLOC_METRIC_KEY: &str = "wall_alloc_metric";
-
-/// Config key for the absolute `alloc_improvement` floor (default 1.0:
-/// the optimized path must at least not allocate *more* than its
-/// baseline).
-pub const WALL_ALLOC_FLOOR_KEY: &str = "wall_alloc_floor";
-
-/// Config key naming a *lower-is-better* counter (e.g.
-/// `"rebalance.migrations_started"`) carried in a series' metrics
-/// snapshot. When set, the gate adds a `counter:<name>` comparison for
-/// the gated series: the current count must stay under the artifact's
-/// [`COUNTER_GATE_MAX_KEY`] ceiling and must not grow past the blessed
-/// count by more than the tolerance plus [`COUNTER_SLACK`]. This is how
-/// the rebalance ablation pins "converges in ≤ N migrations": a
-/// ping-pong regression quadruples the count and fails the gate even if
-/// throughput barely moves.
-pub const COUNTER_GATE_METRIC_KEY: &str = "counter_gate_metric";
-
-/// Config key for the absolute ceiling of the counter-gate leg (a
-/// count, e.g. `"4"`). Missing = no absolute ceiling; only the
-/// relative-to-baseline check applies.
-pub const COUNTER_GATE_MAX_KEY: &str = "counter_gate_max";
-
-/// Config key naming the one series label the counter-gate applies to
-/// (e.g. the rebalancing twin, not the static control). Missing = every
-/// series is gated.
-pub const COUNTER_GATE_SERIES_KEY: &str = "counter_gate_series";
+/// Relative slack on virtual-time figures (throughput, phase means) and
+/// counters: a change fails the gate only when it moves a blessed
+/// number by more than this.
+pub const TOLERANCE: f64 = 0.20;
 
 /// Absolute slack on counter comparisons: event counts are small
 /// integers, so a ±1 wobble around a tiny baseline must not fail the
 /// gate the way a relative check alone would.
 pub const COUNTER_SLACK: f64 = 1.0;
 
-/// Relative slack on speedup ratios: wall-clock runs are noisy (CPU
+/// Relative slack on in-run ratios: wall-clock runs are noisy (CPU
 /// contention, thermal state), so the gate only fails on a large move.
 const WALL_SLACK: f64 = 0.35;
-
-/// Absolute floor: whatever the blessed speedup was, the optimized
-/// engine must stay at least this much faster than the frozen baseline.
-const WALL_SPEEDUP_FLOOR: f64 = 1.2;
 
 /// Absolute slack for phase-mean comparisons: sub-50 µs phases are
 /// dominated by quantization and scheduling noise, not regressions.
 const PHASE_SLACK_US: f64 = 50.0;
+
+/// One check the regression gate runs on an artifact. An artifact is
+/// gated by exactly the gates it lists; an empty list makes it
+/// informational.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum Gate {
+    /// Every blessed series must be present, lose at most [`TOLERANCE`]
+    /// of its throughput, and grow each of its [`GATED_PHASES`] means by
+    /// at most [`TOLERANCE`] plus [`PHASE_SLACK_US`]. For deterministic
+    /// virtual-time figures.
+    Figure,
+    /// Every other series' ratio over the `baseline` series of the same
+    /// run must hold within [`WALL_SLACK`] of the blessed ratio and never
+    /// drop below `floor`. Wall-clock numbers are machine-local: the same
+    /// commit runs at wildly different speeds on a laptop and a CI
+    /// runner, so their absolute values are never compared across
+    /// machines. A baseline re-measured on the same machine in the same
+    /// process makes the ratio portable.
+    Ratio {
+        of: Quantity,
+        baseline: String,
+        floor: f64,
+    },
+    /// The `metric` counter of the `series` series (lower is better) must
+    /// stay at or under `max` and grow past the blessed count by at most
+    /// [`TOLERANCE`] plus [`COUNTER_SLACK`]. This pins "converges in ≤ N
+    /// migrations": a ping-pong regression quadruples the count and fails
+    /// even if throughput barely moves.
+    Counter {
+        metric: String,
+        series: String,
+        max: u64,
+    },
+}
+
+/// What a [`Gate::Ratio`] divides; every ratio reads higher-is-better.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum Quantity {
+    /// Throughput: `series / baseline`, the speedup over the baseline.
+    Throughput,
+    /// A lower-is-better gauge in each series' metrics (e.g.
+    /// `txn.allocs_per_txn`): `baseline / series`, how many times less
+    /// the series spends. Allocation counts are deterministic per build,
+    /// so this ratio is far less noisy than a speedup.
+    Gauge(String),
+}
+
+impl Quantity {
+    /// This quantity's ratio for series `label` over series `baseline`
+    /// of `a`; `None` when either series or gauge is missing.
+    fn ratio(&self, a: &BenchArtifact, baseline: &str, label: &str) -> Option<f64> {
+        let series = |l: &str| a.series.iter().find(|s| s.label == l);
+        let (b, s) = (series(baseline)?, series(label)?);
+        let (num, denom) = match self {
+            Quantity::Throughput => (s.throughput_txn_s, b.throughput_txn_s),
+            Quantity::Gauge(g) => (b.metrics.gauge(g)?, s.metrics.gauge(g)?),
+        };
+        (denom > 0.0).then(|| num / denom)
+    }
+}
+
+impl Gate {
+    fn to_json(&self) -> Json {
+        match self {
+            Gate::Figure => Json::obj(vec![("kind", Json::str("figure"))]),
+            Gate::Ratio {
+                of,
+                baseline,
+                floor,
+            } => {
+                let mut pairs = vec![("kind", Json::str("ratio"))];
+                match of {
+                    Quantity::Throughput => pairs.push(("of", Json::str("throughput"))),
+                    Quantity::Gauge(g) => {
+                        pairs.push(("of", Json::str("gauge")));
+                        pairs.push(("gauge", Json::str(g)));
+                    }
+                }
+                pairs.push(("baseline", Json::str(baseline)));
+                pairs.push(("floor", Json::Num(*floor)));
+                Json::obj(pairs)
+            }
+            Gate::Counter {
+                metric,
+                series,
+                max,
+            } => Json::obj(vec![
+                ("kind", Json::str("counter")),
+                ("metric", Json::str(metric)),
+                ("series", Json::str(series)),
+                ("max", Json::u64(*max)),
+            ]),
+        }
+    }
+
+    /// Parse one gate of an artifact whose `series` are already parsed:
+    /// every field is required, a floor must be finite and positive, and
+    /// a named series must exist.
+    fn from_json(v: &Json, series: &[BenchSeries], ctx: &str) -> Result<Self, String> {
+        let text = |k: &str| {
+            v.get(k)
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("{ctx}: missing {k}"))
+        };
+        let label = |k: &str| {
+            let l = text(k)?;
+            match series.iter().any(|s| s.label == l) {
+                true => Ok(l),
+                false => Err(format!("{ctx}: {k} names absent series {l:?}")),
+            }
+        };
+        match v.get("kind").and_then(Json::as_str) {
+            Some("figure") => Ok(Gate::Figure),
+            Some("ratio") => {
+                let of = match text("of")?.as_str() {
+                    "throughput" => Quantity::Throughput,
+                    "gauge" => Quantity::Gauge(text("gauge")?),
+                    other => return Err(format!("{ctx}: unknown ratio quantity {other:?}")),
+                };
+                let floor = v
+                    .get("floor")
+                    .and_then(Json::as_f64)
+                    .filter(|f| f.is_finite() && *f > 0.0)
+                    .ok_or_else(|| format!("{ctx}: floor is not a finite positive number"))?;
+                Ok(Gate::Ratio {
+                    of,
+                    baseline: label("baseline")?,
+                    floor,
+                })
+            }
+            Some("counter") => Ok(Gate::Counter {
+                metric: text("metric")?,
+                series: label("series")?,
+                max: v
+                    .get("max")
+                    .and_then(Json::as_u64)
+                    .ok_or_else(|| format!("{ctx}: missing max"))?,
+            }),
+            other => Err(format!("{ctx}: unknown gate kind {other:?}")),
+        }
+    }
+
+    /// Append this gate's comparisons of `base` against `cur` (the
+    /// current run's artifact of the same figure, if any) to `out`.
+    fn compare(
+        &self,
+        base: &BenchArtifact,
+        cur: Option<&BenchArtifact>,
+        out: &mut Vec<Comparison>,
+    ) {
+        let cur_series = |label: &str| cur.and_then(|a| a.series.iter().find(|s| s.label == label));
+        let row = |label: &str, metric: String, unit, baseline: f64, current: f64, ok| Comparison {
+            figure: base.figure.clone(),
+            label: label.to_string(),
+            metric,
+            unit,
+            baseline,
+            current,
+            ratio: ratio(baseline, current),
+            ok,
+        };
+        match self {
+            Gate::Figure => {
+                for bs in &base.series {
+                    let (b, label) = (bs.throughput_txn_s, bs.label.as_str());
+                    let Some(cs) = cur_series(label) else {
+                        out.push(row(label, "throughput".into(), "txn/s", b, 0.0, false));
+                        continue;
+                    };
+                    let c = cs.throughput_txn_s;
+                    let ok = ratio(b, c) >= 1.0 - TOLERANCE;
+                    out.push(row(label, "throughput".into(), "txn/s", b, c, ok));
+                    for &phase in GATED_PHASES {
+                        let Some(bh) = bs.phases.get(phase) else {
+                            continue;
+                        };
+                        let b = bh.mean_us as f64;
+                        // A phase the current run no longer records
+                        // counts as infinitely regressed, not absent.
+                        let c = cs
+                            .phases
+                            .get(phase)
+                            .map_or(f64::INFINITY, |h| h.mean_us as f64);
+                        let ok = c <= b * (1.0 + TOLERANCE) + PHASE_SLACK_US;
+                        out.push(row(label, format!("phase:{phase}"), "us mean", b, c, ok));
+                    }
+                }
+            }
+            Gate::Ratio {
+                of,
+                baseline,
+                floor,
+            } => {
+                let (metric, unit) = match of {
+                    Quantity::Throughput => ("speedup", "x over in-run baseline"),
+                    Quantity::Gauge(_) => {
+                        ("alloc_improvement", "x fewer allocs than in-run baseline")
+                    }
+                };
+                for bs in base.series.iter().filter(|s| s.label != *baseline) {
+                    // No in-run baseline series in the blessed artifact:
+                    // nothing machine-portable to gate.
+                    let Some(b) = of.ratio(base, baseline, &bs.label) else {
+                        continue;
+                    };
+                    let c = cur.and_then(|a| of.ratio(a, baseline, &bs.label));
+                    let threshold = (b * (1.0 - WALL_SLACK)).max(*floor);
+                    let ok = c.is_some_and(|c| c >= threshold);
+                    out.push(row(&bs.label, metric.into(), unit, b, c.unwrap_or(0.0), ok));
+                }
+            }
+            Gate::Counter {
+                metric,
+                series,
+                max,
+            } => {
+                for bs in base.series.iter().filter(|s| s.label == *series) {
+                    // Every registered counter appears in every snapshot,
+                    // so a missing one was renamed: that fails, the way a
+                    // missing phase does, instead of reading as zero.
+                    let b = bs.metrics.counter(metric).map(|b| b as f64);
+                    let c = cur_series(series)
+                        .and_then(|s| s.metrics.counter(metric))
+                        .map_or(f64::INFINITY, |c| c as f64);
+                    let ok = b.is_some_and(|b| {
+                        c <= *max as f64 && c <= b * (1.0 + TOLERANCE) + COUNTER_SLACK
+                    });
+                    let (metric, b) = (format!("counter:{metric}"), b.unwrap_or(0.0));
+                    out.push(row(series, metric, "(lower is better)", b, c, ok));
+                }
+            }
+        }
+    }
+}
+
+/// `current / baseline`, or 1.0 when the baseline is zero.
+fn ratio(baseline: f64, current: f64) -> f64 {
+    if baseline > 0.0 {
+        current / baseline
+    } else {
+        1.0
+    }
+}
 
 /// One `(figure, series, metric)` comparison of the regression gate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Comparison {
     pub figure: String,
     pub label: String,
-    /// What is compared: `throughput` (txn/s, higher is better) or
-    /// `phase:<name>` (mean µs, lower is better).
+    /// What is compared: `throughput`, `phase:<name>`, `speedup`,
+    /// `alloc_improvement` or `counter:<name>`.
     pub metric: String,
+    /// How `baseline` and `current` read (`txn/s`, `us mean`, …).
+    pub unit: &'static str,
     pub baseline: f64,
     pub current: f64,
     /// current / baseline (1.0 when the baseline is zero).
     pub ratio: f64,
-    /// False when the series regressed beyond tolerance or is missing
+    /// False when the series regressed beyond its gate or is missing
     /// from the current run.
     pub ok: bool,
 }
 
 impl Comparison {
     pub fn render(&self) -> String {
-        let unit = match self.metric.as_str() {
-            "throughput" => "txn/s",
-            "speedup" => "x over in-run baseline",
-            "alloc_improvement" => "x fewer allocs than in-run baseline",
-            m if m.starts_with("counter:") => "(lower is better)",
-            _ => "us mean",
-        };
         format!(
-            "{:4} {}/{} {}: baseline {:.1} {unit}, current {:.1} ({:+.1}%)",
+            "{:4} {}/{} {}: baseline {:.1} {}, current {:.1} ({:+.1}%)",
             if self.ok { "ok" } else { "FAIL" },
             self.figure,
             self.label,
             self.metric,
             self.baseline,
+            self.unit,
             self.current,
             (self.ratio - 1.0) * 100.0
         )
     }
 }
 
-/// Compare `current` against `baseline`: every baseline series must be
-/// present, within `tolerance` relative throughput loss, and — for the
-/// [`GATED_PHASES`] present in the baseline's phase breakdown — within
-/// `tolerance` relative phase-mean growth (plus a small absolute slack).
-/// Series only in `current` are ignored (adding figures never fails the
-/// gate).
-///
-/// Artifacts whose config carries [`WALL_CLOCK_KEY`]` = "true"` are
-/// machine-local and take a different path: only the speedup of each
-/// series over the artifact's [`WALL_BASELINE_LABEL`] series is gated
-/// (generous slack, absolute floor), never throughput, latency, or any
-/// absolute wall-clock number. A wall-clock artifact with no baseline
-/// series is informational and produces no comparisons.
-pub fn compare_artifacts(
-    baseline: &[BenchArtifact],
-    current: &[BenchArtifact],
-    tolerance: f64,
-) -> Vec<Comparison> {
+/// Compare `current` against `baseline`: every gate of every baseline
+/// artifact runs against the current artifact of the same figure.
+/// Figures and series only in `current` are ignored (adding figures
+/// never fails the gate).
+pub fn compare_artifacts(baseline: &[BenchArtifact], current: &[BenchArtifact]) -> Vec<Comparison> {
     let mut out = Vec::new();
     for base in baseline {
-        let cur_art = current.iter().find(|a| a.figure == base.figure);
-        if base.is_wall_clock() {
-            compare_wall_clock(base, cur_art, &mut out);
-            continue;
-        }
-        for bs in &base.series {
-            let cur = cur_art.and_then(|a| a.series.iter().find(|s| s.label == bs.label));
-            match cur {
-                None => out.push(Comparison {
-                    figure: base.figure.clone(),
-                    label: bs.label.clone(),
-                    metric: "throughput".into(),
-                    baseline: bs.throughput_txn_s,
-                    current: 0.0,
-                    ratio: 0.0,
-                    ok: false,
-                }),
-                Some(cs) => {
-                    let ratio = if bs.throughput_txn_s > 0.0 {
-                        cs.throughput_txn_s / bs.throughput_txn_s
-                    } else {
-                        1.0
-                    };
-                    out.push(Comparison {
-                        figure: base.figure.clone(),
-                        label: bs.label.clone(),
-                        metric: "throughput".into(),
-                        baseline: bs.throughput_txn_s,
-                        current: cs.throughput_txn_s,
-                        ratio,
-                        ok: ratio >= 1.0 - tolerance,
-                    });
-                    for &phase in GATED_PHASES {
-                        let Some(bh) = bs.phases.get(phase) else {
-                            continue;
-                        };
-                        let (b, c) = (
-                            bh.mean_us as f64,
-                            // A phase the current run no longer records
-                            // counts as infinitely regressed, not absent.
-                            cs.phases.get(phase).map(|h| h.mean_us as f64),
-                        );
-                        let c = c.unwrap_or(f64::INFINITY);
-                        out.push(Comparison {
-                            figure: base.figure.clone(),
-                            label: bs.label.clone(),
-                            metric: format!("phase:{phase}"),
-                            baseline: b,
-                            current: c,
-                            ratio: if b > 0.0 { c / b } else { 1.0 },
-                            ok: c <= b * (1.0 + tolerance) + PHASE_SLACK_US,
-                        });
-                    }
-                    // The lower-is-better counter leg (e.g. migration
-                    // counts): bounded by the artifact's absolute
-                    // ceiling AND by the blessed count plus slack.
-                    if let Some(name) = base.config_value(COUNTER_GATE_METRIC_KEY) {
-                        let gated = match base.config_value(COUNTER_GATE_SERIES_KEY) {
-                            None => true,
-                            Some(l) => l == bs.label,
-                        };
-                        if gated {
-                            // An absent counter was never incremented.
-                            let b = bs.metrics.counter(name).unwrap_or(0) as f64;
-                            let c = cs.metrics.counter(name).unwrap_or(0) as f64;
-                            out.push(Comparison {
-                                figure: base.figure.clone(),
-                                label: bs.label.clone(),
-                                metric: format!("counter:{name}"),
-                                baseline: b,
-                                current: c,
-                                ratio: if b > 0.0 { c / b } else { 1.0 },
-                                ok: c <= base.counter_gate_max()
-                                    && c <= b * (1.0 + tolerance) + COUNTER_SLACK,
-                            });
-                        }
-                    }
-                }
-            }
+        let cur = current.iter().find(|a| a.figure == base.figure);
+        for gate in &base.gates {
+            gate.compare(base, cur, &mut out);
         }
     }
     out
-}
-
-/// The wall-clock leg of the gate: for every non-baseline series of a
-/// wall-clock artifact, the current run's speedup over its own in-run
-/// baseline series (the blessed artifact's [`BenchArtifact::wall_baseline_label`])
-/// must hold up against the blessed speedup — within [`WALL_SLACK`]
-/// relative and never below the artifact's [`BenchArtifact::wall_floor`].
-fn compare_wall_clock(
-    base: &BenchArtifact,
-    cur_art: Option<&BenchArtifact>,
-    out: &mut Vec<Comparison>,
-) {
-    let baseline_label = base.wall_baseline_label();
-    let speedup_in = |a: &BenchArtifact, label: &str| -> Option<f64> {
-        let denom = a
-            .series
-            .iter()
-            .find(|s| s.label == baseline_label)?
-            .throughput_txn_s;
-        let num = a.series.iter().find(|s| s.label == label)?.throughput_txn_s;
-        (denom > 0.0).then(|| num / denom)
-    };
-    // Improvement of a lower-is-better gauge over the in-run baseline:
-    // `baseline gauge / series gauge` (10.0 = ten times fewer).
-    let alloc_metric = base.config_value(WALL_ALLOC_METRIC_KEY);
-    let improvement_in = |a: &BenchArtifact, label: &str| -> Option<f64> {
-        let metric = alloc_metric?;
-        let denom = a
-            .series
-            .iter()
-            .find(|s| s.label == label)?
-            .metrics
-            .gauge(metric)?;
-        let num = a
-            .series
-            .iter()
-            .find(|s| s.label == baseline_label)?
-            .metrics
-            .gauge(metric)?;
-        (denom > 0.0).then(|| num / denom)
-    };
-    for bs in &base.series {
-        if bs.label == baseline_label {
-            continue;
-        }
-        // No in-run baseline series in the blessed artifact: the series
-        // is informational (nothing machine-portable to gate).
-        let Some(base_speedup) = speedup_in(base, &bs.label) else {
-            continue;
-        };
-        let cur_speedup = cur_art.and_then(|a| speedup_in(a, &bs.label));
-        let cur = cur_speedup.unwrap_or(0.0);
-        let threshold = (base_speedup * (1.0 - WALL_SLACK)).max(base.wall_floor());
-        out.push(Comparison {
-            figure: base.figure.clone(),
-            label: bs.label.clone(),
-            metric: "speedup".into(),
-            baseline: base_speedup,
-            current: cur,
-            ratio: if base_speedup > 0.0 {
-                cur / base_speedup
-            } else {
-                1.0
-            },
-            ok: cur_speedup.is_some_and(|c| c >= threshold),
-        });
-        if let Some(base_improvement) = improvement_in(base, &bs.label) {
-            let cur_improvement = cur_art.and_then(|a| improvement_in(a, &bs.label));
-            let cur = cur_improvement.unwrap_or(0.0);
-            let threshold = (base_improvement * (1.0 - WALL_SLACK)).max(base.wall_alloc_floor());
-            out.push(Comparison {
-                figure: base.figure.clone(),
-                label: bs.label.clone(),
-                metric: "alloc_improvement".into(),
-                baseline: base_improvement,
-                current: cur,
-                ratio: if base_improvement > 0.0 {
-                    cur / base_improvement
-                } else {
-                    1.0
-                },
-                ok: cur_improvement.is_some_and(|c| c >= threshold),
-            });
-        }
-    }
 }
 
 /// Schema-sanity validation of committed artifacts: every oddity a
 /// hand-edited or drifted `BENCH_*.json` could carry that the gate
 /// would otherwise silently mis-compare. Returns one message per
 /// problem (empty = valid). Run by `benchcmp validate` in the lint
-/// stage over every committed baseline.
+/// stage over every committed baseline; a malformed gate already fails
+/// to parse.
 pub fn validate_artifacts(artifacts: &[BenchArtifact]) -> Vec<String> {
     let mut errs = Vec::new();
     let mut figures = std::collections::BTreeSet::new();
@@ -706,58 +677,28 @@ pub fn validate_artifacts(artifacts: &[BenchArtifact]) -> Vec<String> {
                 errs.push(format!("{fig}: empty config key"));
             }
         }
-        if a.is_wall_clock() {
-            if let Some(v) = a.config_value(WALL_FLOOR_KEY) {
-                if v.parse::<f64>()
-                    .map_or(true, |f| !f.is_finite() || f <= 0.0)
-                {
-                    errs.push(format!("{fig}: bad {WALL_FLOOR_KEY} {v:?}"));
-                }
-            }
-            if let Some(v) = a.config_value(WALL_ALLOC_FLOOR_KEY) {
-                if v.parse::<f64>()
-                    .map_or(true, |f| !f.is_finite() || f <= 0.0)
-                {
-                    errs.push(format!("{fig}: bad {WALL_ALLOC_FLOOR_KEY} {v:?}"));
-                }
-            }
-            let baseline = a.wall_baseline_label().to_string();
-            if a.config_value(WALL_BASELINE_KEY).is_some()
-                && !a.series.iter().any(|s| s.label == baseline)
-            {
-                errs.push(format!(
-                    "{fig}: {WALL_BASELINE_KEY} names absent series {baseline:?}"
-                ));
-            }
-            if let Some(metric) = a.config_value(WALL_ALLOC_METRIC_KEY) {
-                for s in &a.series {
-                    if s.metrics.gauge(metric).is_none() {
+        for gate in &a.gates {
+            match gate {
+                Gate::Ratio {
+                    of: Quantity::Gauge(g),
+                    ..
+                } => {
+                    for s in a.series.iter().filter(|s| s.metrics.gauge(g).is_none()) {
                         errs.push(format!(
-                            "{fig}/{}: {WALL_ALLOC_METRIC_KEY} {metric:?} missing from metrics",
+                            "{fig}/{}: gauge {g:?} missing from metrics",
                             s.label
                         ));
                     }
                 }
-            }
-        }
-        if a.config_value(COUNTER_GATE_METRIC_KEY).is_some() {
-            if let Some(v) = a.config_value(COUNTER_GATE_MAX_KEY) {
-                if v.parse::<f64>().map_or(true, |f| !f.is_finite() || f < 0.0) {
-                    errs.push(format!("{fig}: bad {COUNTER_GATE_MAX_KEY} {v:?}"));
+                Gate::Counter { metric, series, .. } => {
+                    let gated = a.series.iter().find(|s| s.label == *series);
+                    if gated.is_some_and(|s| s.metrics.counter(metric).is_none()) {
+                        errs.push(format!(
+                            "{fig}/{series}: counter {metric:?} missing from metrics"
+                        ));
+                    }
                 }
-            }
-            if let Some(label) = a.config_value(COUNTER_GATE_SERIES_KEY) {
-                if !a.series.iter().any(|s| s.label == label) {
-                    errs.push(format!(
-                        "{fig}: {COUNTER_GATE_SERIES_KEY} names absent series {label:?}"
-                    ));
-                }
-            }
-        } else {
-            for key in [COUNTER_GATE_MAX_KEY, COUNTER_GATE_SERIES_KEY] {
-                if a.config_value(key).is_some() {
-                    errs.push(format!("{fig}: {key} without {COUNTER_GATE_METRIC_KEY}"));
-                }
+                Gate::Figure | Gate::Ratio { .. } => {}
             }
         }
         let mut labels = std::collections::BTreeSet::new();
@@ -810,6 +751,7 @@ mod tests {
         let mut a = BenchArtifact::new(figure);
         a.config_kv("scale", "tiny");
         a.config_kv("seed", 42);
+        a.gates.push(Gate::Figure);
         a.series.push(BenchSeries {
             label: label.to_string(),
             throughput_txn_s: txn_s,
@@ -842,7 +784,7 @@ mod tests {
         let parsed = Json::parse(&text).unwrap();
         assert_eq!(BenchArtifact::from_json(&parsed).unwrap(), a);
         // Required top-level fields of the stable schema.
-        for key in ["schema", "figure", "config", "series"] {
+        for key in ["schema", "figure", "config", "gates", "series"] {
             assert!(parsed.get(key).is_some(), "missing {key}");
         }
         let s0 = &parsed.get("series").unwrap().as_arr().unwrap()[0];
@@ -909,17 +851,17 @@ mod tests {
         // Within tolerance: 15% down. The helper's series carries a
         // `commit_wait` phase, so a matched series yields a throughput
         // row plus one gated-phase row.
-        let ok = compare_artifacts(&base, &[artifact("fig6a", "gclock", 85.0)], 0.20);
+        let ok = compare_artifacts(&base, &[artifact("fig6a", "gclock", 85.0)]);
         assert_eq!(ok.len(), 2, "{ok:?}");
         assert_eq!(ok[1].metric, "phase:commit_wait");
         assert!(ok.iter().all(|c| c.ok), "{ok:?}");
         // Beyond tolerance: 25% down.
-        let bad = compare_artifacts(&base, &[artifact("fig6a", "gclock", 75.0)], 0.20);
+        let bad = compare_artifacts(&base, &[artifact("fig6a", "gclock", 75.0)]);
         assert!(!bad[0].ok);
         assert!(bad[0].render().contains("FAIL"));
         assert!(bad[1].ok, "identical phase means must pass: {:?}", bad[1]);
         // Missing series fails (single row; no phase rows to compare).
-        let missing = compare_artifacts(&base, &[artifact("fig6a", "gtm", 100.0)], 0.20);
+        let missing = compare_artifacts(&base, &[artifact("fig6a", "gtm", 100.0)]);
         assert_eq!(missing.len(), 1);
         assert!(!missing[0].ok);
         // Faster never fails; extra current series ignored.
@@ -929,20 +871,29 @@ mod tests {
                 artifact("fig6a", "gclock", 140.0),
                 artifact("fig9", "z", 1.0),
             ],
-            0.20,
         );
         assert_eq!(faster.len(), 2);
         assert!(faster.iter().all(|c| c.ok));
     }
 
+    /// A throughput ratio gate over `baseline` with `floor`.
+    fn speedup(baseline: &str, floor: f64) -> Gate {
+        Gate::Ratio {
+            of: Quantity::Throughput,
+            baseline: baseline.into(),
+            floor,
+        }
+    }
+
     /// A wall-clock artifact: in-run `legacy` baseline plus a `fast`
-    /// series, absolute numbers machine-local by construction.
+    /// series, absolute numbers machine-local by construction, gated on
+    /// the speedup with a 1.2x floor.
     fn wall_artifact(fast_eps: f64, legacy_eps: f64) -> BenchArtifact {
         let mut a = artifact("engine", "fast", fast_eps);
-        a.config_kv(WALL_CLOCK_KEY, "true");
+        a.gates = vec![speedup("legacy", 1.2)];
         a.series[0].phases.clear();
         let mut legacy = a.series[0].clone();
-        legacy.label = WALL_BASELINE_LABEL.into();
+        legacy.label = "legacy".into();
         legacy.throughput_txn_s = legacy_eps;
         a.series.push(legacy);
         a
@@ -954,29 +905,32 @@ mod tests {
         let base = vec![wall_artifact(6_000_000.0, 2_000_000.0)];
         // A machine 10x slower in absolute terms but with the same
         // speedup passes — wall-clock absolutes are never gated.
-        let out = compare_artifacts(&base, &[wall_artifact(600_000.0, 200_000.0)], 0.20);
+        let out = compare_artifacts(&base, &[wall_artifact(600_000.0, 200_000.0)]);
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].metric, "speedup");
         assert!(out[0].ok, "{out:?}");
         assert!(out[0].render().contains("x over in-run baseline"));
         // Speedup held within slack (3.0 -> 2.2 with 35% slack) passes.
-        let out = compare_artifacts(&base, &[wall_artifact(4_400_000.0, 2_000_000.0)], 0.20);
+        let out = compare_artifacts(&base, &[wall_artifact(4_400_000.0, 2_000_000.0)]);
         assert!(out[0].ok, "{out:?}");
         // Speedup collapsed to 1.1x: below both the relative slack and
         // the absolute floor — fails.
-        let out = compare_artifacts(&base, &[wall_artifact(2_200_000.0, 2_000_000.0)], 0.20);
+        let out = compare_artifacts(&base, &[wall_artifact(2_200_000.0, 2_000_000.0)]);
         assert!(!out[0].ok, "{out:?}");
         // Series missing from the current run fails.
         let mut gone = wall_artifact(1.0, 1.0);
-        gone.series.retain(|s| s.label == WALL_BASELINE_LABEL);
-        let out = compare_artifacts(&base, &[gone], 0.20);
+        gone.series.retain(|s| s.label == "legacy");
+        let out = compare_artifacts(&base, &[gone]);
         assert!(!out[0].ok, "{out:?}");
-        // An informational wall-clock artifact (no legacy series) is
-        // never gated.
+        // An informational artifact (no gates, or no baseline series to
+        // take a ratio over) is never gated.
         let mut info = wall_artifact(5.0, 5.0);
         info.figure = "engine_cluster".into();
+        info.gates.clear();
+        assert!(compare_artifacts(&[info.clone()], &[]).is_empty());
+        info.gates = vec![speedup("legacy", 1.2)];
         info.series.retain(|s| s.label == "fast");
-        let out = compare_artifacts(&[info], &[], 0.20);
+        let out = compare_artifacts(&[info], &[]);
         assert!(out.is_empty(), "{out:?}");
     }
 
@@ -985,21 +939,18 @@ mod tests {
         // Blessed speedup 1.5x: the 35% slack alone would allow 0.98x,
         // but the absolute floor keeps the gate at 1.2x.
         let base = vec![wall_artifact(1_500_000.0, 1_000_000.0)];
-        let out = compare_artifacts(&base, &[wall_artifact(1_190_000.0, 1_000_000.0)], 0.20);
+        let out = compare_artifacts(&base, &[wall_artifact(1_190_000.0, 1_000_000.0)]);
         assert!(!out[0].ok, "below floor must fail: {out:?}");
-        let out = compare_artifacts(&base, &[wall_artifact(1_250_000.0, 1_000_000.0)], 0.20);
+        let out = compare_artifacts(&base, &[wall_artifact(1_250_000.0, 1_000_000.0)]);
         assert!(out[0].ok, "above floor within slack must pass: {out:?}");
     }
 
     /// A realnet-shaped wall-clock artifact: the in-run baseline is the
     /// `thread` backend and the gated ratio (`tcp / thread`) sits below
-    /// 1, so the artifact overrides both the baseline label and the
-    /// floor via config.
+    /// 1, so the gate names its own baseline and a collapse-only floor.
     fn realnet_artifact(tcp_eps: f64, thread_eps: f64) -> BenchArtifact {
         let mut a = artifact("realnet_smoke", "tcp", tcp_eps);
-        a.config_kv(WALL_CLOCK_KEY, "true");
-        a.config_kv(WALL_BASELINE_KEY, "thread");
-        a.config_kv(WALL_FLOOR_KEY, "0.02");
+        a.gates = vec![speedup("thread", 0.02)];
         a.series[0].phases.clear();
         let mut thread = a.series[0].clone();
         thread.label = "thread".into();
@@ -1010,32 +961,37 @@ mod tests {
 
     #[test]
     fn wall_clock_gate_honors_config_baseline_and_floor() {
-        assert_eq!(realnet_artifact(1.0, 1.0).wall_baseline_label(), "thread");
-        assert_eq!(realnet_artifact(1.0, 1.0).wall_floor(), 0.02);
+        // The gate's baseline and floor survive the JSON encoding.
+        let a = realnet_artifact(1.0, 1.0);
+        let parsed = BenchArtifact::from_json(&Json::parse(&a.to_pretty()).unwrap()).unwrap();
+        assert_eq!(parsed.gates, vec![speedup("thread", 0.02)]);
         // Blessed ratio 0.5 (tcp at half the thread throughput): a
-        // sub-1.2 ratio must be gateable, so the default floor cannot
+        // sub-1 ratio must be gateable, so a speedup-sized floor cannot
         // apply.
         let base = vec![realnet_artifact(500.0, 1_000.0)];
-        let out = compare_artifacts(&base, &[realnet_artifact(40.0, 100.0)], 0.20);
+        let out = compare_artifacts(&base, &[realnet_artifact(40.0, 100.0)]);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].ok, "ratio 0.4 vs blessed 0.5 within slack: {out:?}");
         // Collapse below the relative slack fails even above the floor.
-        let out = compare_artifacts(&base, &[realnet_artifact(10.0, 100.0)], 0.20);
+        let out = compare_artifacts(&base, &[realnet_artifact(10.0, 100.0)]);
         assert!(!out[0].ok, "ratio 0.1 vs blessed 0.5 must fail: {out:?}");
         // The custom floor still binds: a blessed ratio so small that
         // slack would allow near-zero is caught at 0.02.
         let tiny = vec![realnet_artifact(25.0, 1_000.0)];
-        let out = compare_artifacts(&tiny, &[realnet_artifact(10.0, 1_000.0)], 0.20);
+        let out = compare_artifacts(&tiny, &[realnet_artifact(10.0, 1_000.0)]);
         assert!(!out[0].ok, "ratio 0.01 under floor 0.02 must fail: {out:?}");
     }
 
     /// A txn-bench-shaped wall-clock artifact: fast + legacy series with
-    /// an allocations-per-transaction gauge, gated via
-    /// [`WALL_ALLOC_METRIC_KEY`] with a 10x floor.
+    /// an allocations-per-transaction gauge, gated by a second ratio over
+    /// that gauge with a 10x floor.
     fn alloc_artifact(fast_eps: f64, fast_allocs: f64, legacy_allocs: f64) -> BenchArtifact {
         let mut a = wall_artifact(fast_eps, 1_000_000.0);
-        a.config_kv(WALL_ALLOC_METRIC_KEY, "txn.allocs_per_txn");
-        a.config_kv(WALL_ALLOC_FLOOR_KEY, "10");
+        a.gates.push(Gate::Ratio {
+            of: Quantity::Gauge("txn.allocs_per_txn".into()),
+            baseline: "legacy".into(),
+            floor: 10.0,
+        });
         for (i, allocs) in [fast_allocs, legacy_allocs].into_iter().enumerate() {
             let mut m = crate::metrics::MetricsRegistry::default();
             m.gauge("txn.allocs_per_txn", allocs);
@@ -1048,7 +1004,7 @@ mod tests {
     fn wall_clock_gate_checks_alloc_improvement() {
         // Blessed: 3x speedup, 30x fewer allocations (0.9 vs 27).
         let base = vec![alloc_artifact(3_000_000.0, 0.9, 27.0)];
-        let rows = |cur: &BenchArtifact| compare_artifacts(&base, std::slice::from_ref(cur), 0.20);
+        let rows = |cur: &BenchArtifact| compare_artifacts(&base, std::slice::from_ref(cur));
         // Same shape passes and yields speedup + alloc rows.
         let out = rows(&alloc_artifact(3_000_000.0, 0.9, 27.0));
         assert_eq!(out.len(), 2, "{out:?}");
@@ -1067,19 +1023,21 @@ mod tests {
         gone.series[0].metrics = MetricsReport::default();
         let out = rows(&gone);
         assert!(!out[1].ok, "{out:?}");
-        // The speedup leg is unaffected by the alloc config.
+        // The speedup gate is unaffected by the alloc gate.
         assert_eq!(out[0].metric, "speedup");
         assert!(out[0].ok, "{out:?}");
     }
 
     /// A rebalance-ablation-shaped artifact: a static control plus a
     /// rebalancing series whose migration count is gated (ceiling 4,
-    /// lower is better) via [`COUNTER_GATE_METRIC_KEY`].
+    /// lower is better) next to the figure gate.
     fn counter_artifact(migrations: u64) -> BenchArtifact {
         let mut a = artifact("ablation_rebalance", "static-skew", 90.0);
-        a.config_kv(COUNTER_GATE_METRIC_KEY, "rebalance.migrations_started");
-        a.config_kv(COUNTER_GATE_MAX_KEY, 4);
-        a.config_kv(COUNTER_GATE_SERIES_KEY, "rebalance-skew");
+        a.gates.push(Gate::Counter {
+            metric: "rebalance.migrations_started".into(),
+            series: "rebalance-skew".into(),
+            max: 4,
+        });
         let mut rebal = a.series[0].clone();
         rebal.label = "rebalance-skew".into();
         rebal.throughput_txn_s = 100.0;
@@ -1094,8 +1052,14 @@ mod tests {
     #[test]
     fn counter_gate_is_lower_is_better_with_a_ceiling() {
         let base = vec![counter_artifact(3)];
-        let rows = |cur: &BenchArtifact| compare_artifacts(&base, std::slice::from_ref(cur), 0.20);
-        // Same count passes; the leg applies only to the gated series.
+        let rows = |cur: &BenchArtifact| compare_artifacts(&base, std::slice::from_ref(cur));
+        let counter_row = |out: &[Comparison]| {
+            out.iter()
+                .find(|c| c.metric.starts_with("counter:"))
+                .cloned()
+                .unwrap()
+        };
+        // Same count passes; the gate applies only to the gated series.
         let out = rows(&counter_artifact(3));
         let counters: Vec<_> = out
             .iter()
@@ -1110,44 +1074,41 @@ mod tests {
         assert!(out.iter().all(|c| c.ok), "{out:?}");
         // Past the absolute ceiling fails even against a high baseline.
         let out = rows(&counter_artifact(5));
-        let bad = out.iter().find(|c| c.metric.starts_with("counter:"));
-        assert!(!bad.unwrap().ok, "count 5 over max 4 must fail: {out:?}");
-        // Ping-pong regression: way past baseline*(1+tol)+slack.
-        let mut no_max = counter_artifact(3);
-        no_max.config.retain(|(k, _)| k != COUNTER_GATE_MAX_KEY);
-        let out = compare_artifacts(&[no_max], &[counter_artifact(16)], 0.20);
-        let bad = out.iter().find(|c| c.metric.starts_with("counter:"));
-        assert!(!bad.unwrap().ok, "16 vs blessed 3 must fail: {out:?}");
-        // A counter absent from the current snapshot counts as zero.
-        let mut quiet = counter_artifact(3);
-        quiet.series[1].metrics = MetricsReport::default();
-        let out = rows(&quiet);
-        assert!(out.iter().all(|c| c.ok), "{out:?}");
+        assert!(
+            !counter_row(&out).ok,
+            "count 5 over max 4 must fail: {out:?}"
+        );
+        // Ping-pong regression: under a far ceiling, still way past
+        // baseline*(1+tol)+slack.
+        let mut far = counter_artifact(3);
+        far.gates[1] = Gate::Counter {
+            metric: "rebalance.migrations_started".into(),
+            series: "rebalance-skew".into(),
+            max: 100,
+        };
+        let out = compare_artifacts(&[far], &[counter_artifact(16)]);
+        assert!(!counter_row(&out).ok, "16 vs blessed 3 must fail: {out:?}");
+        // A counter absent from the current snapshot was renamed, not
+        // left at zero: the gate fails rather than passing vacuously.
+        let mut renamed = counter_artifact(3);
+        renamed.series[1].metrics = MetricsReport::default();
+        let out = rows(&renamed);
+        assert!(!counter_row(&out).ok, "missing counter must fail: {out:?}");
     }
 
     #[test]
     fn validate_catches_counter_gate_drift() {
         assert!(validate_artifacts(&[counter_artifact(3)]).is_empty());
-        // Ceiling that does not parse.
+        // The blessed gated series must carry the counter it is gated on.
         let mut a = counter_artifact(3);
-        a.config.retain(|(k, _)| k != COUNTER_GATE_MAX_KEY);
-        a.config_kv(COUNTER_GATE_MAX_KEY, "four");
+        a.series[1].metrics = MetricsReport::default();
         assert!(validate_artifacts(&[a])
             .iter()
-            .any(|e| e.contains(COUNTER_GATE_MAX_KEY)));
-        // Gated series that does not exist.
+            .any(|e| e.contains("rebalance.migrations_started")));
+        // Only the gated series needs it.
         let mut a = counter_artifact(3);
-        a.config.retain(|(k, _)| k != COUNTER_GATE_SERIES_KEY);
-        a.config_kv(COUNTER_GATE_SERIES_KEY, "ghost");
-        assert!(validate_artifacts(&[a])
-            .iter()
-            .any(|e| e.contains("absent series")));
-        // Ceiling/series keys without the metric key are dangling.
-        let mut a = artifact("fig1a", "x", 1.0);
-        a.config_kv(COUNTER_GATE_MAX_KEY, 4);
-        assert!(validate_artifacts(&[a])
-            .iter()
-            .any(|e| e.contains("without")));
+        a.series[0].metrics = MetricsReport::default();
+        assert!(validate_artifacts(&[a]).is_empty());
     }
 
     #[test]
@@ -1177,18 +1138,10 @@ mod tests {
         let mut a = artifact("fig1a", "x", 1.0);
         a.series[0].throughput_txn_s = f64::NAN;
         assert!(errs(&[a]).iter().any(|e| e.contains("throughput_txn_s")));
-        // Unparseable wall floor.
-        let mut a = wall_artifact(2.0, 1.0);
-        a.config_kv(WALL_FLOOR_KEY, "fast");
-        assert!(errs(&[a]).iter().any(|e| e.contains(WALL_FLOOR_KEY)));
-        // Alloc metric configured but absent from a series' metrics.
+        // Ratio gauge absent from a series' metrics.
         let mut a = alloc_artifact(3_000_000.0, 0.9, 27.0);
         a.series[1].metrics = MetricsReport::default();
         assert!(errs(&[a]).iter().any(|e| e.contains("txn.allocs_per_txn")));
-        // wall_baseline naming a series that does not exist.
-        let mut a = wall_artifact(2.0, 1.0);
-        a.config_kv(WALL_BASELINE_KEY, "thread");
-        assert!(errs(&[a]).iter().any(|e| e.contains("absent series")));
         // Quantile ordering violated.
         let mut a = artifact("fig1a", "x", 1.0);
         a.series[0].latency.p95_us = a.series[0].latency.p99_us + 1_000_000;
@@ -1198,8 +1151,35 @@ mod tests {
         assert!(errs(&[BenchArtifact::new("f")])
             .iter()
             .any(|e| e.contains("no series")));
-    }
 
+        // A malformed gate does not even parse.
+        let parse_err = |text: &str| {
+            BenchArtifact::from_json(&Json::parse(text).unwrap())
+                .expect_err("malformed gate must not parse")
+        };
+        // Unknown gate kind.
+        let text = artifact("fig1a", "x", 1.0).to_pretty();
+        let text = text.replace(r#""kind": "figure""#, r#""kind": "speedup""#);
+        assert!(parse_err(&text).contains("unknown gate kind"));
+        // Non-finite or non-positive floor.
+        for floor in [f64::NAN, f64::INFINITY, 0.0, -1.5] {
+            let mut a = wall_artifact(2.0, 1.0);
+            a.gates = vec![speedup("legacy", floor)];
+            assert!(parse_err(&a.to_pretty()).contains("floor"), "{floor}");
+        }
+        // A gate naming an absent series: a ratio baseline, a counter's
+        // gated series.
+        let mut a = wall_artifact(2.0, 1.0);
+        a.gates = vec![speedup("thread", 1.2)];
+        assert!(parse_err(&a.to_pretty()).contains("absent series"));
+        let mut a = counter_artifact(3);
+        a.gates[1] = Gate::Counter {
+            metric: "rebalance.migrations_started".into(),
+            series: "ghost".into(),
+            max: 4,
+        };
+        assert!(parse_err(&a.to_pretty()).contains("absent series"));
+    }
     #[test]
     fn comparison_gate_catches_phase_regressions() {
         let phased = |commit_wait_us: &[u64]| {
@@ -1215,7 +1195,7 @@ mod tests {
         let base = vec![phased(&[2000, 2200])];
         // Throughput unchanged, commit-wait mean tripled: the phase row
         // fails even though the throughput row passes.
-        let out = compare_artifacts(&base, &[phased(&[6000, 6600])], 0.20);
+        let out = compare_artifacts(&base, &[phased(&[6000, 6600])]);
         assert_eq!(out.len(), 3, "{out:?}");
         assert!(out[0].ok, "throughput row: {:?}", out[0]);
         assert_eq!(out[1].metric, "phase:commit_wait");
@@ -1226,11 +1206,11 @@ mod tests {
         // A current run that dropped a gated phase entirely fails it.
         let mut gone = phased(&[2000, 2200]);
         gone.series[0].phases.remove("commit_wait");
-        let out = compare_artifacts(&base, &[gone], 0.20);
+        let out = compare_artifacts(&base, &[gone]);
         assert!(!out[1].ok, "missing phase must fail: {:?}", out[1]);
         // Tiny phases live inside the absolute slack: a jump from 5 µs
         // to 40 µs is noise, not a regression.
-        let out = compare_artifacts(&[phased(&[5, 5])], &[phased(&[40, 40])], 0.20);
+        let out = compare_artifacts(&[phased(&[5, 5])], &[phased(&[40, 40])]);
         assert!(out[1].ok, "sub-slack phase flagged: {:?}", out[1]);
     }
 }

@@ -8,12 +8,12 @@
 //!
 //! Every run must commit transactions end-to-end and pass the
 //! plane-vs-silo accounting cross-check (each charged message routed by
-//! exactly one silo). The artifact is marked `wall_clock=true` with the
-//! `thread` series as in-run baseline: the CI gate ratios `tcp /
+//! exactly one silo). The artifact's one gate is a throughput ratio over
+//! the `thread` series as in-run baseline: the CI gate ratios `tcp /
 //! thread` committed-txn throughput measured on this machine in this
 //! process — never absolute numbers, which are machine-local. The floor
-//! (`wall_floor=0.02`) only guards against collapse: real sockets are
-//! legitimately slower than channels.
+//! (0.02) only guards against collapse: real sockets are legitimately
+//! slower than channels.
 //!
 //! Regenerate the blessed baseline with `scripts/regen_bench.sh` (or:
 //! `cargo run --release -p gdb-realnet --bin realnet_smoke -- --json
@@ -22,7 +22,7 @@
 //! (default 8).
 
 use gdb_bench::{artifact, emit_artifact, print_table, series_from_run, BenchParams};
-use gdb_obs::{WALL_BASELINE_KEY, WALL_CLOCK_KEY, WALL_FLOOR_KEY};
+use gdb_obs::{Gate, Quantity};
 use gdb_realnet::{Backend, RealCluster, RealnetReport};
 use gdb_simnet::SimDuration;
 use gdb_workloads::driver::{run_workload, RunConfig, Workload};
@@ -190,9 +190,13 @@ fn main() {
     // Artifact: thread + tcp only. The sim series' wall speed would gate
     // a meaningless ratio (simulation does no physical work per message).
     let mut a = artifact("realnet_smoke", &params);
-    a.config_kv(WALL_CLOCK_KEY, "true");
-    a.config_kv(WALL_BASELINE_KEY, "thread");
-    a.config_kv(WALL_FLOOR_KEY, "0.02");
+    // Wall-clock throughput is machine-local: gate only the in-run
+    // ratio, not the helper's figure gate.
+    a.gates = vec![Gate::Ratio {
+        of: Quantity::Throughput,
+        baseline: "thread".into(),
+        floor: 0.02,
+    }];
     a.series.push(thread.series);
     a.series.push(tcp.series);
     emit_artifact(&a);

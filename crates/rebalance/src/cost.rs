@@ -3,8 +3,8 @@
 //! One scalar [`PlacementCost::cost`] scores a [`ClusterView`]; the
 //! greedy [`PlacementCost::propose_batch`] search emits a batch of
 //! strictly-cost-reducing moves. Replacing the PR 4 first-match policy
-//! chain (frozen in [`crate::legacy`]) with a single objective removes
-//! the chain's oscillation mode by construction: on a static view every
+//! chain with a single objective removes the chain's oscillation mode
+//! by construction: on a static view every
 //! accepted move strictly lowers the same scalar, so no sequence of
 //! accepted moves can revisit a configuration — in particular A→B→A
 //! ping-pong is impossible. Under fluctuating traffic, [`Hysteresis`]

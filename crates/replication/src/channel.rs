@@ -107,12 +107,6 @@ impl ShippingChannel {
         })
     }
 
-    /// The wire bytes of the most recent [`Self::drain`] (valid until the
-    /// next drain). Lets callers ship the encoded form without re-encoding.
-    pub fn last_wire(&self) -> &[u8] {
-        &self.wire_buf
-    }
-
     /// Reset the cursor (replica recovery: resume from its applied LSN).
     pub fn rewind(&mut self, to: Lsn) {
         self.next_lsn = to;

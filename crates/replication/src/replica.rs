@@ -251,11 +251,6 @@ impl ReplicaApplier {
         self.locked.keys().cloned().collect()
     }
 
-    /// True if an in-progress transaction holds this exact tuple.
-    pub fn is_key_locked(&self, table: TableId, key: &RowKey) -> bool {
-        self.locked.contains_key(&(table, key.clone()))
-    }
-
     /// Consume the applier and take its storage — failover promotion: the
     /// replica becomes a primary. In-progress (pending/prepared)
     /// transactions are discarded: their coordinators died with the old

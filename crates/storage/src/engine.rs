@@ -204,30 +204,6 @@ impl DataNodeStorage {
         Ok(())
     }
 
-    /// [`DataNodeStorage::apply_put`] borrowing the key: the replay hot
-    /// path clones it only when the key is new to the table or feeds a
-    /// secondary index.
-    pub fn apply_put_at(
-        &mut self,
-        table: TableId,
-        key: &RowKey,
-        row: Row,
-        commit_ts: Timestamp,
-        commit_vtime: SimTime,
-    ) -> GdbResult<()> {
-        self.writes += 1;
-        let index_updates = self.index_updates(table, key, &row);
-        let tbl = self.table_mut(table)?;
-        tbl.install_version_at(key, Some(row), commit_ts, commit_vtime)?;
-        for (ix, entry) in index_updates {
-            self.indexes
-                .get_mut(&ix)
-                .expect("index storage consistent")
-                .insert(entry, key.clone());
-        }
-        Ok(())
-    }
-
     /// Delete a row (tombstone).
     pub fn delete(
         &mut self,
@@ -255,19 +231,6 @@ impl DataNodeStorage {
         self.writes += 1;
         let tbl = self.table_mut(table)?;
         tbl.install_version(key, None, commit_ts, commit_vtime)
-    }
-
-    /// [`DataNodeStorage::apply_delete`] borrowing the key.
-    pub fn apply_delete_at(
-        &mut self,
-        table: TableId,
-        key: &RowKey,
-        commit_ts: Timestamp,
-        commit_vtime: SimTime,
-    ) -> GdbResult<()> {
-        self.writes += 1;
-        let tbl = self.table_mut(table)?;
-        tbl.install_version_at(key, None, commit_ts, commit_vtime)
     }
 
     /// A cleared recycled row buffer from the table's vacuum pool (see

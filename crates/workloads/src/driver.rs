@@ -88,10 +88,6 @@ impl KeySampler {
         }
     }
 
-    pub fn distribution(&self) -> KeyDistribution {
-        self.dist
-    }
-
     /// Draw one key in `1..=n`. `Uniform` makes exactly one
     /// `gen_range(1..=n)` call, so swapping a workload's inline uniform
     /// pick for a sampler leaves its draw sequence bit-identical.

@@ -80,10 +80,6 @@ impl SysbenchWorkload {
         self.sampler = KeySampler::new(dist, self.scale.rows_per_table);
         self
     }
-
-    pub fn key_dist(&self) -> KeyDistribution {
-        self.sampler.distribution()
-    }
 }
 
 impl Workload for SysbenchWorkload {

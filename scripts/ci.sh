@@ -95,9 +95,9 @@ stage_shell() {
 
 # Regenerate every figure artifact at tiny scale and compare throughput
 # against the committed baseline. The simulation is deterministic, so on
-# unchanged code this reproduces the baseline exactly; the 20% tolerance
-# only absorbs intended performance shifts (bless bigger ones with
-# scripts/regen_bench.sh).
+# unchanged code this reproduces the baseline exactly; the gate's fixed
+# 20% tolerance only absorbs intended performance shifts (bless bigger
+# ones with scripts/regen_bench.sh).
 stage_bench_smoke() {
     echo "==> bench smoke (tiny scale) + perf gate"
     local out=target/bench-smoke
@@ -116,7 +116,7 @@ stage_bench_smoke() {
         "$out"/fig6c.json "$out"/fig6d.json "$out"/ablation_rebalance.json \
         "$out"/nemesis.json
     cargo run --release -q -p gdb-bench --bin benchcmp -- check \
-        BENCH_smoke.json "$out/BENCH_smoke.json" --tolerance 0.20
+        BENCH_smoke.json "$out/BENCH_smoke.json"
 
     # Wall-clock engine gate: re-measures the timing-wheel engine against
     # the frozen heap engine on *this* machine and checks only the
@@ -126,7 +126,7 @@ stage_bench_smoke() {
         cargo run --release -q -p gdb-bench --bin engine_bench -- \
         --json "$out/engine.json" >/dev/null
     cargo run --release -q -p gdb-bench --bin benchcmp -- check \
-        BENCH_engine.json "$out/engine.json" --tolerance 0.20
+        BENCH_engine.json "$out/engine.json"
 }
 
 # Transaction hot-path gate: drives the fixed-seed write script through
@@ -145,13 +145,13 @@ stage_txn() {
         timeout 600 cargo run --release -q -p gdb-bench --bin txn_bench -- \
         --json "$out/txn.json"
     cargo run --release -q -p gdb-bench --bin benchcmp -- check \
-        BENCH_txn.json "$out/txn.json" --tolerance 0.20
+        BENCH_txn.json "$out/txn.json"
 }
 
 # Scale-out gate: scale_bench at a reduced parameterization (CI machines
 # cannot afford the full 256-shard/10⁵-terminal default, which is a
-# manual/nightly run). The "scale" artifact is wall_clock=true, so only
-# the routing-speedup and bytes-per-terminal *ratios* are compared
+# manual/nightly run). The "scale" artifact's gates are in-run ratios, so
+# only the routing-speedup and bytes-per-terminal *ratios* are compared
 # (floors 2x / 4x); the in-bench FNV digest assert already proved the
 # fast and legacy routers made identical decisions. The parameters here
 # must match scripts/regen_bench.sh, which blesses the baseline.
@@ -166,13 +166,13 @@ stage_scale() {
         timeout 600 cargo run --release -q -p gdb-bench --bin scale_bench -- \
         --json "$out/scale.json"
     cargo run --release -q -p gdb-bench --bin benchcmp -- check \
-        BENCH_scale.json "$out/scale.json" --tolerance 0.20
+        BENCH_scale.json "$out/scale.json"
 }
 
 # Real-backend gate: the realnet crate's tests (unit + sim/real
 # divergence + seam scans), then the 3-node loopback TPC-C smoke gated
-# against BENCH_realnet.json. The artifact is wall_clock=true, so only
-# the tcp/thread throughput *ratio* is compared — never the
+# against BENCH_realnet.json. The artifact's one gate is an in-run ratio,
+# so only the tcp/thread throughput *ratio* is compared — never the
 # machine-local absolute numbers. Real threads and sockets can wedge in
 # ways virtual time cannot, hence the hard timeouts.
 stage_realnet() {
@@ -187,7 +187,7 @@ stage_realnet() {
         timeout 600 cargo run --release -q -p gdb-realnet --bin realnet_smoke -- \
         --json "$out/realnet.json"
     cargo run --release -q -p gdb-bench --bin benchcmp -- check \
-        BENCH_realnet.json "$out/realnet.json" --tolerance 0.20
+        BENCH_realnet.json "$out/realnet.json"
 }
 
 case "${1:-all}" in
